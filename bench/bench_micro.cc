@@ -121,7 +121,9 @@ BENCHMARK(BM_GnnTrainStep)->Arg(0)->Arg(1);
 
 // Thread scaling of the data-parallel trainer. Reports samples/s; results
 // are bitwise-identical across thread counts, so the Arg sweep measures
-// nothing but the thread-pool speedup.
+// nothing but the thread-pool speedup. Like every multi-threaded rate bench
+// here it uses real time: pool workers burn CPU the main thread's CPU clock
+// never sees, so a CPU-time rate would overstate the scaling.
 void BM_ParallelTrainEpoch(benchmark::State& state) {
   static const std::vector<core::TrainSample>* samples = [] {
     workload::CorpusConfig config;
@@ -152,7 +154,7 @@ void BM_ParallelTrainEpoch(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(state.range(0)));
 }
 BENCHMARK(BM_ParallelTrainEpoch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Thread scaling of batched placement-candidate scoring inside the
 // optimizer. Reports candidates/s.
@@ -188,7 +190,7 @@ void BM_ParallelCandidateScoring(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(state.range(0)));
 }
 BENCHMARK(BM_ParallelCandidateScoring)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_PlacementEnumeration(benchmark::State& state) {
   const auto record = MakeRecord(workload::QueryTemplate::kThreeWayJoin, 5);
@@ -263,7 +265,7 @@ void BM_CorpusGeneration(benchmark::State& state) {
   state.counters["workers"] =
       benchmark::Counter(static_cast<double>(state.range(0)));
 }
-BENCHMARK(BM_CorpusGeneration)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_CorpusGeneration)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 // --- Corpus persistence (trace formats) ------------------------------------
 
@@ -358,7 +360,7 @@ void BM_ParallelFeaturization(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(threads));
 }
 BENCHMARK(BM_ParallelFeaturization)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // --- Metrics overhead measurement -----------------------------------------
 //

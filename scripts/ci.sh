@@ -541,4 +541,12 @@ cmake --build build-asan -j "$JOBS" \
 ctest --test-dir build-asan \
   -R 'verify_oracle_sweep_test|service_pruning_test' --output-on-failure
 
+echo "=== AddressSanitizer out-of-core reader sweep ==="
+# TraceReader::Visit hands callbacks references into decoded blocks that the
+# LRU cache shares and may evict while a wave keeps them pinned, and the
+# streaming trainer featurizes straight from those references — the
+# shared-lifetime pattern ASan exists to check.
+cmake --build build-asan -j "$JOBS" --target workload_outofcore_test
+ctest --test-dir build-asan -R workload_outofcore_test --output-on-failure
+
 echo "CI passed."

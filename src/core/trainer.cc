@@ -81,8 +81,9 @@ void VerifyFetchedBatch(const verify::ModelLayerDims& dims, const char* set,
   verify::CheckOrDie(report, "TrainModelStreaming");
 }
 
-// Samples per evaluation fetch: bounds the resident validation set while
-// keeping the thread pool busy.
+// Samples per evaluation fetch, and the most samples per training fetch:
+// bounds the resident samples of a streaming source while keeping the
+// thread pool busy and letting it decode each trace block once per fetch.
 constexpr int kEvalChunk = 256;
 
 // Mean per-sample loss, streamed in chunks. Per-sample losses land in
@@ -165,12 +166,25 @@ TrainResult TrainLoop(CostModel& model, SampleSource& train, SampleSource& val,
       static_cast<int>(std::min<int64_t>(config.batch_size, num_train));
   std::vector<Slot> slots(batch_size);
   for (Slot& slot : slots) slot.sink.Reset(model.parameters());
-  std::vector<const TrainSample*> batch(batch_size);
+  // Training samples are fetched a window of whole batches at a time and
+  // the batches sliced from it in order, so every batch holds exactly the
+  // samples it held when fetched one batch at a time.
+  const int64_t window =
+      static_cast<int64_t>(std::max(1, kEvalChunk / config.batch_size)) *
+      config.batch_size;
+  std::vector<const TrainSample*> fetched(
+      static_cast<size_t>(std::min(window, num_train)));
 
   static obs::Counter& metric_epochs = obs::GetCounter("core.train.epochs");
   static obs::Counter& metric_samples = obs::GetCounter("core.train.samples");
   static obs::Histogram& metric_epoch_us =
       obs::GetHistogram("core.train.epoch_us");
+  static obs::Histogram& metric_fetch_us =
+      obs::GetHistogram("core.train.fetch_us");
+  static obs::Histogram& metric_step_us =
+      obs::GetHistogram("core.train.step_us");
+  static obs::Histogram& metric_adam_us =
+      obs::GetHistogram("core.train.adam_us");
   static obs::Gauge& metric_train_loss =
       obs::GetGauge("core.train.last_train_loss");
   static obs::Gauge& metric_val_loss =
@@ -186,10 +200,16 @@ TrainResult TrainLoop(CostModel& model, SampleSource& train, SampleSource& val,
          start += static_cast<int64_t>(config.batch_size)) {
       const int in_batch = static_cast<int>(
           std::min<int64_t>(config.batch_size, num_train - start));
-      train.Fetch(order.data() + start, in_batch, batch.data());
+      if (start % window == 0) {
+        obs::ScopedTimer fetch_timer(metric_fetch_us);
+        train.Fetch(order.data() + start,
+                    static_cast<int>(std::min(window, num_train - start)),
+                    fetched.data());
+      }
+      const TrainSample* const* batch = fetched.data() + start % window;
       if (verify_on) {
-        VerifyFetchedBatch(verify_dims, "train", batch.data(),
-                           order.data() + start, in_batch);
+        VerifyFetchedBatch(verify_dims, "train", batch, order.data() + start,
+                           in_batch);
         if (!plan_proved &&
             model.config().execution == ExecutionMode::kBatched) {
           ForwardPlan plan;
@@ -204,20 +224,24 @@ TrainResult TrainLoop(CostModel& model, SampleSource& train, SampleSource& val,
         }
         plan_proved = true;
       }
-      pool.ParallelFor(in_batch, [&](int j) {
-        Slot& slot = slots[j];
-        slot.tape.Reset();
-        slot.sink.Clear();
-        nn::Var loss = SampleLoss(model, slot.tape, *batch[j], weights);
-        slot.loss = slot.tape.value(loss)(0, 0);
-        // Scale so the batch gradient is the mean over the batch.
-        nn::Var scaled = slot.tape.Scale(loss, 1.0 / config.batch_size);
-        slot.tape.Backward(scaled, &slot.sink);
-      });
-      // Deterministic reduction: sample order, independent of the schedule.
-      for (int j = 0; j < in_batch; ++j) {
-        epoch_loss += slots[j].loss;
-        slots[j].sink.FlushToParams();
+      {
+        obs::ScopedTimer step_timer(metric_step_us);
+        pool.ParallelFor(in_batch, [&](int j) {
+          Slot& slot = slots[j];
+          slot.tape.Reset();
+          slot.sink.Clear();
+          nn::Var loss = SampleLoss(model, slot.tape, *batch[j], weights);
+          slot.loss = slot.tape.value(loss)(0, 0);
+          // Scale so the batch gradient is the mean over the batch.
+          nn::Var scaled = slot.tape.Scale(loss, 1.0 / config.batch_size);
+          slot.tape.Backward(scaled, &slot.sink);
+        });
+        // Deterministic reduction: sample order, independent of the
+        // schedule.
+        for (int j = 0; j < in_batch; ++j) {
+          epoch_loss += slots[j].loss;
+          slots[j].sink.FlushToParams();
+        }
       }
       // Adam::Step clears the gradients, so the norm (of the epoch's final
       // batch only, to bound the cost) must be read here.
@@ -225,7 +249,10 @@ TrainResult TrainLoop(CostModel& model, SampleSource& train, SampleSource& val,
           obs::Enabled()) {
         metric_grad_norm.Set(GradientNorm(model.parameters()));
       }
-      adam.Step();
+      {
+        obs::ScopedTimer adam_timer(metric_adam_us);
+        adam.Step();
+      }
       metric_samples.Add(static_cast<uint64_t>(in_batch));
     }
     metric_epochs.Increment();

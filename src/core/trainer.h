@@ -93,8 +93,10 @@ TrainResult TrainModel(CostModel& model, const std::vector<TrainSample>& train,
                        const TrainConfig& config);
 
 // Same training loop over sample sources: per-epoch deterministic shuffle of
-// [0, train.size()), mini-batches fetched through SampleSource::Fetch, the
-// usual per-index gradient sinks and index-order reduction. With sources
+// [0, train.size()), fetched through SampleSource::Fetch in windows of
+// max(1, 256 / batch_size) whole mini-batches (so a streaming source decodes
+// each trace block once per window, not once per batch), the usual
+// per-index gradient sinks and index-order reduction. With sources
 // that yield the same samples, the trained weights are bitwise-equal to
 // TrainModel at any thread count (TrainModel itself delegates here through
 // VectorSampleSource). Under verification mode fetched batches are verified

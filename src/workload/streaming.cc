@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <numeric>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 
 namespace costream::workload {
@@ -22,27 +20,22 @@ StreamingCorpus::StreamingCorpus(TraceReader* reader,
 
   const bool regression = sim::IsRegressionMetric(metric_);
   const size_t n = record_indices.size();
-  // Visit records in file order so each compressed block decodes exactly
+  // Visit walks the records in file order, so each compressed block decodes
   // once during the scan; keep/label land in slots addressed by the split
   // position, so the sample order below is the split order regardless.
-  std::vector<size_t> by_file(n);
-  std::iota(by_file.begin(), by_file.end(), size_t{0});
-  std::sort(by_file.begin(), by_file.end(), [&](size_t a, size_t b) {
-    return record_indices[a] < record_indices[b];
-  });
   std::vector<char> keep(n, 0);
   std::vector<char> label(n, 0);
-  for (size_t p : by_file) {
-    TraceRecord record;
-    COSTREAM_CHECK(reader_->Get(record_indices[p], &record));
-    if (regression && !record.metrics.success) continue;
-    keep[p] = 1;
-    // Regression samples leave TrainSample::label false (FeaturizeRecord
-    // never sets it), so they must not count as positives here either.
-    if (!regression && sim::BinaryLabel(record.metrics, metric_)) {
-      label[p] = 1;
-    }
-  }
+  const bool scanned = reader_->Visit(
+      record_indices.data(), n, [&](size_t p, const TraceRecord& record) {
+        if (regression && !record.metrics.success) return;
+        keep[p] = 1;
+        // Regression samples leave TrainSample::label false (FeaturizeRecord
+        // never sets it), so they must not count as positives here either.
+        if (!regression && sim::BinaryLabel(record.metrics, metric_)) {
+          label[p] = 1;
+        }
+      });
+  COSTREAM_CHECK(scanned);
   sample_to_record_.reserve(n);
   for (size_t p = 0; p < n; ++p) {
     if (!keep[p]) {
@@ -71,27 +64,23 @@ void StreamingCorpus::Fetch(const int64_t* ids, int count,
     record_ids[static_cast<size_t>(i)] =
         sample_to_record_[static_cast<size_t>(ids[i])];
   }
-  // Decode the batch's blocks concurrently before the featurize pass, which
-  // then hits the cache (or re-decodes if evicted — slower, never wrong).
-  reader_->Prefetch(record_ids.data(), record_ids.size());
-  buffer_.assign(static_cast<size_t>(count), core::TrainSample{});
-  std::atomic<bool> ok{true};
-  common::ParallelFor(options_.num_threads, count, [&](int i) {
-    TraceRecord record;
-    if (!reader_->Get(record_ids[static_cast<size_t>(i)], &record)) {
-      ok.store(false, std::memory_order_relaxed);
-      return;
-    }
-    // The scan already established this record survives featurization.
-    if (!FeaturizeRecord(record, metric_, options_.mode,
-                         &buffer_[static_cast<size_t>(i)])) {
-      ok.store(false, std::memory_order_relaxed);
-    }
-  });
+  // Each block of the batch decodes at most once, and records featurize
+  // straight from the decoded block into their per-index slots.
+  buffer_.resize(static_cast<size_t>(count));
+  std::atomic<bool> featurized{true};
+  const bool decoded = reader_->Visit(
+      record_ids.data(), record_ids.size(),
+      [&](size_t i, const TraceRecord& record) {
+        // The scan already established this record survives featurization.
+        if (!FeaturizeRecord(record, metric_, options_.mode, &buffer_[i])) {
+          featurized.store(false, std::memory_order_relaxed);
+        }
+      },
+      options_.num_threads);
   // A block that validated at Open can only fail here if the file mutated
   // underneath the mapping; training on silently-missing samples would be
   // worse than dying.
-  COSTREAM_CHECK(ok.load());
+  COSTREAM_CHECK(decoded && featurized.load());
   for (int i = 0; i < count; ++i) out[i] = &buffer_[static_cast<size_t>(i)];
   fetched.Add(static_cast<uint64_t>(count));
 }

@@ -1,6 +1,8 @@
 #include "workload/trace_reader.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
 #include <utility>
 
 #include "common/check.h"
@@ -196,6 +198,22 @@ std::shared_ptr<const std::vector<TraceRecord>> TraceReader::GetBlock(
   return records;
 }
 
+size_t TraceReader::BlockOf(int64_t index) const {
+  const auto it = std::upper_bound(first_records_.begin(),
+                                   first_records_.end(),
+                                   static_cast<uint64_t>(index));
+  return static_cast<size_t>(it - first_records_.begin()) - 1;
+}
+
+bool TraceReader::ParsePlain(int64_t index, TraceRecord* out) const {
+  const unsigned char* base =
+      reinterpret_cast<const unsigned char*>(file_.data());
+  const size_t i = static_cast<size_t>(index);
+  internal::Cursor body{base + offsets_[i], base + offsets_[i] + sizes_[i]};
+  *out = TraceRecord{};
+  return internal::ParseRecordBody(body, link_fields_, out);
+}
+
 bool TraceReader::Get(int64_t index, TraceRecord* out) {
   COSTREAM_CHECK(out != nullptr);
   COSTREAM_CHECK(index >= 0 && index < num_records_);
@@ -203,21 +221,10 @@ bool TraceReader::Get(int64_t index, TraceRecord* out) {
     case Mode::kEager:
       *out = records_[static_cast<size_t>(index)];
       return true;
-    case Mode::kPlainV2: {
-      const unsigned char* base =
-          reinterpret_cast<const unsigned char*>(file_.data());
-      const size_t i = static_cast<size_t>(index);
-      internal::Cursor body{base + offsets_[i],
-                            base + offsets_[i] + sizes_[i]};
-      *out = TraceRecord{};
-      return internal::ParseRecordBody(body, link_fields_, out);
-    }
+    case Mode::kPlainV2:
+      return ParsePlain(index, out);
     case Mode::kCompressedV2: {
-      const auto it = std::upper_bound(first_records_.begin(),
-                                       first_records_.end(),
-                                       static_cast<uint64_t>(index));
-      const size_t block =
-          static_cast<size_t>(it - first_records_.begin()) - 1;
+      const size_t block = BlockOf(index);
       const auto records = GetBlock(block);
       if (records == nullptr) return false;
       *out = (*records)[static_cast<size_t>(index) - first_records_[block]];
@@ -227,21 +234,99 @@ bool TraceReader::Get(int64_t index, TraceRecord* out) {
   return false;
 }
 
-void TraceReader::Prefetch(const int64_t* ids, size_t count) {
-  if (mode_ != Mode::kCompressedV2 || count == 0) return;
-  std::vector<size_t> blocks;
-  blocks.reserve(count);
+bool TraceReader::Visit(const int64_t* ids, size_t count, const VisitFn& fn,
+                        int fn_threads) {
+  COSTREAM_CHECK(count <= static_cast<size_t>(INT32_MAX));
   for (size_t i = 0; i < count; ++i) {
     COSTREAM_CHECK(ids[i] >= 0 && ids[i] < num_records_);
-    const auto it = std::upper_bound(first_records_.begin(),
-                                     first_records_.end(),
-                                     static_cast<uint64_t>(ids[i]));
-    blocks.push_back(static_cast<size_t>(it - first_records_.begin()) - 1);
   }
-  std::sort(blocks.begin(), blocks.end());
-  blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
-  common::ParallelFor(options_.num_threads, static_cast<int>(blocks.size()),
-                      [&](int i) { GetBlock(blocks[static_cast<size_t>(i)]); });
+  // One pool per call, reused by every wave, instead of one per wave.
+  std::unique_ptr<common::ThreadPool> fn_pool;
+  const int resolved_fn_threads = std::min(
+      common::ResolveNumThreads(fn_threads), static_cast<int>(count));
+  if (resolved_fn_threads > 1) {
+    fn_pool = std::make_unique<common::ThreadPool>(resolved_fn_threads);
+  }
+  const auto for_each = [&](size_t n, const std::function<void(int)>& body) {
+    if (fn_pool != nullptr) {
+      fn_pool->ParallelFor(static_cast<int>(n), body);
+    } else {
+      for (size_t k = 0; k < n; ++k) body(static_cast<int>(k));
+    }
+  };
+
+  if (mode_ == Mode::kEager) {
+    for_each(count, [&](int k) {
+      fn(static_cast<size_t>(k), records_[static_cast<size_t>(ids[k])]);
+    });
+    return true;
+  }
+  if (mode_ == Mode::kPlainV2) {
+    std::atomic<bool> ok{true};
+    for_each(count, [&](int k) {
+      TraceRecord record;
+      if (!ParsePlain(ids[k], &record)) {
+        ok.store(false, std::memory_order_relaxed);
+        return;
+      }
+      fn(static_cast<size_t>(k), record);
+    });
+    return ok.load();
+  }
+
+  // Compressed: positions sorted by record id, so each block's records form
+  // one contiguous run and the runs come in file order.
+  std::vector<size_t> order(count);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return ids[a] < ids[b]; });
+  struct Run {
+    size_t block;
+    size_t end;  // one past the run's last position in `order`
+  };
+  std::vector<Run> runs;
+  for (size_t k = 0; k < count; ++k) {
+    const size_t block = BlockOf(ids[order[k]]);
+    if (runs.empty() || runs.back().block != block) runs.push_back({block, k});
+    runs.back().end = k + 1;
+  }
+
+  const size_t wave =
+      static_cast<size_t>(common::ResolveNumThreads(options_.num_threads));
+  std::unique_ptr<common::ThreadPool> decode_pool;
+  if (wave > 1 && runs.size() > 1) {
+    decode_pool = std::make_unique<common::ThreadPool>(
+        static_cast<int>(std::min(wave, runs.size())));
+  }
+  std::vector<std::shared_ptr<const std::vector<TraceRecord>>> pinned;
+  std::vector<const TraceRecord*> visit;
+  size_t begin = 0;  // first position of the current wave in `order`
+  for (size_t w = 0; w < runs.size(); w += wave) {
+    const size_t n = std::min(wave, runs.size() - w);
+    pinned.assign(n, nullptr);
+    const auto decode = [&](int j) { pinned[j] = GetBlock(runs[w + j].block); };
+    if (decode_pool != nullptr) {
+      decode_pool->ParallelFor(static_cast<int>(n), decode);
+    } else {
+      for (size_t j = 0; j < n; ++j) decode(static_cast<int>(j));
+    }
+    for (const auto& block : pinned) {
+      if (block == nullptr) return false;
+    }
+    const size_t end = runs[w + n - 1].end;
+    visit.clear();
+    for (size_t k = begin, j = 0; k < end; ++k) {
+      while (k >= runs[w + j].end) ++j;
+      const uint64_t first = first_records_[runs[w + j].block];
+      visit.push_back(
+          &(*pinned[j])[static_cast<uint64_t>(ids[order[k]]) - first]);
+    }
+    for_each(visit.size(), [&](int k) {
+      fn(order[begin + static_cast<size_t>(k)], *visit[static_cast<size_t>(k)]);
+    });
+    begin = end;
+  }
+  return true;
 }
 
 int TraceReader::cached_blocks() const {

@@ -2,7 +2,9 @@
 #define COSTREAM_WORKLOAD_TRACE_READER_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -21,8 +23,8 @@ struct TraceReaderOptions {
   // only). Peak reader memory is roughly this many blocks' uncompressed
   // payloads plus the mmap (which the OS pages in lazily).
   int max_cached_blocks = 16;
-  // Workers used by Prefetch to decode a batch's blocks concurrently
-  // (<= 0 means all hardware threads).
+  // Blocks Visit decodes concurrently per wave, and so also the most blocks
+  // one Visit keeps pinned at a time (<= 0 means all hardware threads).
   int num_threads = 1;
 };
 
@@ -40,9 +42,17 @@ struct TraceReaderOptions {
 //   v1 text        eagerly parsed at Open (the text format has no random
 //                  access structure); Get copies from memory.
 //
-// Get and Prefetch are safe to call concurrently. Cache hits/misses and
-// block decode time are exported through obs ("workload.reader.*") and as
+// Get and Visit are safe to call concurrently. Cache hits/misses and block
+// decode time are exported through obs ("workload.reader.*") and as
 // per-instance counters for tests.
+//
+// Memory bound (compressed images): decoded records resident at any time
+// are at most max_cached_blocks blocks held by the LRU plus, per running
+// Visit, at most num_threads blocks pinned by its current wave (a pinned
+// block the LRU evicts stays alive until the wave's records are visited).
+// Streaming training adds one Fetch's featurized samples on top:
+// core::TrainModelStreaming fetches whole mini-batches in windows of
+// max(1, 256 / batch_size) batches, i.e. at most max(256, batch_size).
 class TraceReader {
  public:
   // Returns null when the file cannot be opened, is not a recognizable
@@ -60,10 +70,22 @@ class TraceReader {
   // file mutated underneath the mapping.
   bool Get(int64_t index, TraceRecord* out);
 
-  // Decodes every block overlapping `ids` into the cache concurrently
-  // (no-op for non-compressed formats). Blocks beyond the cache cap are
-  // decoded and may be evicted again; correctness never depends on this.
-  void Prefetch(const int64_t* ids, size_t count);
+  // Receives (position in the ids array, record ids[position]). The record
+  // reference is valid only for the duration of the call.
+  using VisitFn = std::function<void(size_t, const TraceRecord&)>;
+
+  // Calls fn(i, record ids[i]) exactly once for every i in [0, count); ids
+  // may repeat and come in any order. Compressed images: the ids are sorted
+  // by record and the distinct blocks walked in file order, each looked up
+  // once per call (decoded on a cache miss) in waves of up to num_threads
+  // blocks decoded concurrently; a wave's blocks stay pinned while fn reads
+  // their records straight from the cache, without copying. v1 and plain v2
+  // visit one record at a time. fn runs on up to `fn_threads` workers at
+  // once (on distinct i; <= 0 means all hardware threads); with 1 it runs
+  // serially on the calling thread. Returns false, having visited only some
+  // ids, when a block or record fails to decode.
+  bool Visit(const int64_t* ids, size_t count, const VisitFn& fn,
+             int fn_threads = 1);
 
   // Per-instance cache statistics (compressed images only).
   uint64_t block_hits() const { return hits_.load(); }
@@ -81,6 +103,8 @@ class TraceReader {
 
   bool OpenPlain();
   bool OpenCompressed();
+  size_t BlockOf(int64_t index) const;
+  bool ParsePlain(int64_t index, TraceRecord* out) const;
   std::shared_ptr<const std::vector<TraceRecord>> GetBlock(size_t block);
   std::shared_ptr<const std::vector<TraceRecord>> DecodeBlock(
       size_t block) const;

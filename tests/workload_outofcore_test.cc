@@ -8,6 +8,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
+#include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "core/trainer.h"
+#include "obs/metrics.h"
 #include "workload/corpus.h"
 #include "workload/streaming.h"
 #include "workload/trace_io.h"
@@ -136,6 +140,20 @@ TEST(OutOfCoreTest, TraceWriterMatchesBulkSaversByteForByte) {
   std::remove(comp_path.c_str());
 }
 
+std::string WriteTraceFile(const std::vector<TraceRecord>& records,
+                           const std::string& name, TraceFormat format,
+                           size_t block_bytes) {
+  const std::string path = ::testing::TempDir() + "/" + name + ".bin";
+  TraceWriter writer;
+  TraceWriter::Options opts;
+  opts.format = format;
+  if (block_bytes != 0) opts.block_bytes = block_bytes;
+  EXPECT_TRUE(writer.Open(path, opts));
+  for (const TraceRecord& r : records) EXPECT_TRUE(writer.Append(r));
+  EXPECT_TRUE(writer.Finish());
+  return path;
+}
+
 TEST(OutOfCoreTest, TraceReaderRandomAccessMatchesFullLoad) {
   const auto records = SmallCorpus(32, 41);
   struct Case {
@@ -151,15 +169,8 @@ TEST(OutOfCoreTest, TraceReaderRandomAccessMatchesFullLoad) {
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    const std::string path =
-        ::testing::TempDir() + "/ooc_reader_" + c.name + ".bin";
-    TraceWriter writer;
-    TraceWriter::Options opts;
-    opts.format = c.format;
-    if (c.block_bytes != 0) opts.block_bytes = c.block_bytes;
-    ASSERT_TRUE(writer.Open(path, opts));
-    for (const TraceRecord& r : records) ASSERT_TRUE(writer.Append(r));
-    ASSERT_TRUE(writer.Finish());
+    const std::string path = WriteTraceFile(
+        records, std::string("ooc_reader_") + c.name, c.format, c.block_bytes);
 
     auto reader = TraceReader::Open(path);
     ASSERT_NE(reader, nullptr);
@@ -202,6 +213,100 @@ TEST(OutOfCoreTest, TraceReaderCacheStaysBounded) {
     max_block = std::max(max_block, b.uncompressed_bytes);
   }
   EXPECT_LE(reader->peak_cached_bytes(), 2 * max_block);
+  std::remove(path.c_str());
+}
+
+// Random record ids with repeats, in no particular order.
+std::vector<int64_t> RandomIds(int64_t num_records, size_t count,
+                               uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int64_t> pick(0, num_records - 1);
+  std::vector<int64_t> ids(count);
+  for (int64_t& id : ids) id = pick(rng);
+  return ids;
+}
+
+TEST(OutOfCoreTest, VisitYieldsTheRecordsGetReturns) {
+  const auto records = SmallCorpus(32, 43);
+  struct Case {
+    const char* name;
+    TraceFormat format;
+    size_t block_bytes;
+  };
+  const Case cases[] = {
+      {"v1", TraceFormat::kTextV1, 0},
+      {"v2", TraceFormat::kBinaryV2, 0},
+      {"v2c", TraceFormat::kBinaryV2Compressed, 2048},
+  };
+  for (const Case& c : cases) {
+    const std::string path = WriteTraceFile(
+        records, std::string("ooc_visit_") + c.name, c.format, c.block_bytes);
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << c.name << " threads " << threads);
+      TraceReaderOptions opts;
+      opts.max_cached_blocks = 2;
+      opts.num_threads = threads;
+      auto reader = TraceReader::Open(path, opts);
+      ASSERT_NE(reader, nullptr);
+      const std::vector<int64_t> ids =
+          RandomIds(reader->num_records(), 100, 17 + threads);
+      std::vector<TraceRecord> visited(ids.size());
+      std::vector<int> calls(ids.size(), 0);
+      ASSERT_TRUE(reader->Visit(
+          ids.data(), ids.size(),
+          [&](size_t i, const TraceRecord& record) {
+            ++calls[i];
+            visited[i] = record;
+          },
+          threads));
+      for (size_t i = 0; i < ids.size(); ++i) {
+        EXPECT_EQ(calls[i], 1) << "position " << i;
+        TraceRecord expected;
+        ASSERT_TRUE(reader->Get(ids[i], &expected));
+        ExpectRecordsBitwiseEqual(expected, visited[i]);
+      }
+    }
+    std::remove(path.c_str());
+  }
+}
+
+// The point of Visit: one lookup per distinct block per call, however many
+// of the ids share a block and however small the cache is.
+TEST(OutOfCoreTest, VisitDecodesEachBlockOnce) {
+  const auto records = SmallCorpus(40, 9);
+  const std::string path = WriteTraceFile(
+      records, "ooc_visit_once", TraceFormat::kBinaryV2Compressed, 2048);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    TraceReaderOptions opts;
+    opts.max_cached_blocks = 1;
+    opts.num_threads = threads;
+    auto reader = TraceReader::Open(path, opts);
+    ASSERT_NE(reader, nullptr);
+    const std::vector<int64_t> ids =
+        RandomIds(reader->num_records(), 60, 5 + threads);
+    std::set<uint64_t> blocks;
+    for (const int64_t id : ids) {
+      for (const TraceBlockInfo& b : reader->info().blocks) {
+        if (static_cast<uint64_t>(id) >= b.first_record &&
+            static_cast<uint64_t>(id) < b.first_record + b.record_count) {
+          blocks.insert(b.first_record);
+        }
+      }
+    }
+    ASSERT_GT(blocks.size(), 2u) << "ids too concentrated to test anything";
+    for (int pass = 0; pass < 2; ++pass) {
+      // The second pass starts from the previous pass's last block in the
+      // one-block cache, which is not the first block this pass needs.
+      const uint64_t misses = reader->block_misses();
+      const uint64_t hits = reader->block_hits();
+      ASSERT_TRUE(reader->Visit(ids.data(), ids.size(),
+                                [](size_t, const TraceRecord&) {}));
+      EXPECT_EQ(reader->block_misses() - misses, blocks.size());
+      EXPECT_EQ(reader->block_hits(), hits);
+      EXPECT_LE(reader->cached_blocks(), 1);
+    }
+  }
   std::remove(path.c_str());
 }
 
@@ -317,6 +422,93 @@ TEST(OutOfCoreTest, StreamingTrainingMatchesInMemoryBitwise) {
                               streamed.SnapshotParameters());
       }
     }
+  }
+  std::remove(path.c_str());
+}
+
+// Forwards to another source and records each Fetch's size.
+class RecordingSource final : public core::SampleSource {
+ public:
+  explicit RecordingSource(core::SampleSource& inner) : inner_(inner) {}
+  int64_t size() const override { return inner_.size(); }
+  void Fetch(const int64_t* ids, int count,
+             const core::TrainSample** out) override {
+    fetch_sizes.push_back(count);
+    inner_.Fetch(ids, count, out);
+  }
+  int64_t CountPositiveLabels() override {
+    return inner_.CountPositiveLabels();
+  }
+  std::vector<int> fetch_sizes;
+
+ private:
+  core::SampleSource& inner_;
+};
+
+// Training fetches a window of whole batches (36 batches of 7 = 252 here),
+// so the last window and the last batch are both partial: 300 samples are
+// 252 + 48 per epoch, the 48 being six full batches and one of 6.
+TEST(OutOfCoreTest, StreamingTrainingMatchesInMemoryWithPartialWindows) {
+  const auto records = SmallCorpus(340, 29);
+  std::vector<int64_t> train_ids(300);
+  std::iota(train_ids.begin(), train_ids.end(), int64_t{0});
+  std::vector<int64_t> val_ids(records.size() - train_ids.size());
+  std::iota(val_ids.begin(), val_ids.end(), int64_t{300});
+  // A classification metric keeps every record, so the train size is exact.
+  const sim::Metric metric = sim::Metric::kBackpressure;
+  const auto train_samples = ToTrainSamples(Gather(records, train_ids), metric);
+  const auto val_samples = ToTrainSamples(Gather(records, val_ids), metric);
+  ASSERT_EQ(train_samples.size(), 300u);
+
+  core::CostModelConfig model_config;
+  model_config.hidden_dim = 8;
+  model_config.head = core::HeadKind::kClassification;
+  core::TrainConfig tc;
+  tc.epochs = 2;
+  tc.batch_size = 7;
+  tc.seed = 3;
+  tc.num_threads = 1;
+  core::CostModel reference(model_config);
+  const core::TrainResult ref_result =
+      core::TrainModel(reference, train_samples, val_samples, tc);
+
+  const std::string path = WriteTraceFile(
+      records, "ooc_window", TraceFormat::kBinaryV2Compressed, 4096);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    TraceReaderOptions reader_opts;
+    reader_opts.max_cached_blocks = 2;
+    reader_opts.num_threads = threads;
+    auto reader = TraceReader::Open(path, reader_opts);
+    ASSERT_NE(reader, nullptr);
+    StreamingCorpusOptions sc_opts;
+    sc_opts.num_threads = threads;
+    StreamingCorpus train_corpus(reader.get(), train_ids, metric, sc_opts);
+    StreamingCorpus val_source(reader.get(), val_ids, metric, sc_opts);
+    RecordingSource train_source(train_corpus);
+
+    core::CostModel streamed(model_config);
+    core::TrainConfig stc = tc;
+    stc.num_threads = threads;
+    obs::Histogram& fetch_us = obs::GetHistogram("core.train.fetch_us");
+    obs::Histogram& step_us = obs::GetHistogram("core.train.step_us");
+    obs::Histogram& adam_us = obs::GetHistogram("core.train.adam_us");
+    const uint64_t fetches = fetch_us.Count();
+    const uint64_t steps = step_us.Count();
+    const uint64_t adam_steps = adam_us.Count();
+    const core::TrainResult result =
+        core::TrainModelStreaming(streamed, train_source, val_source, stc);
+    EXPECT_EQ(train_source.fetch_sizes, (std::vector<int>{252, 48, 252, 48}));
+    if (obs::Enabled()) {
+      // Per-stage timers: one per window fetch, and 43 batches per epoch.
+      EXPECT_EQ(fetch_us.Count() - fetches, 4u);
+      EXPECT_EQ(step_us.Count() - steps, 86u);
+      EXPECT_EQ(adam_us.Count() - adam_steps, 86u);
+    }
+    ASSERT_EQ(result.train_losses, ref_result.train_losses);
+    ASSERT_EQ(result.val_losses, ref_result.val_losses);
+    ExpectParamsIdentical(reference.SnapshotParameters(),
+                          streamed.SnapshotParameters());
   }
   std::remove(path.c_str());
 }
