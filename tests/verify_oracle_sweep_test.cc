@@ -5,10 +5,15 @@
 // latency must lie inside the proven intervals. Verification is forced on,
 // so the in-engine oracle hook (which aborts the process on a violation)
 // fires on every EvaluateFluid call; unthrottled runs are additionally
-// cross-checked through the pure CheckFluidOracle entry point.
+// cross-checked through the pure CheckFluidOracle entry point. Every
+// triple's fluid report, background load and zero-uncertainty interval
+// endpoints are also folded into one digest pinned to its recorded value, so
+// any change to the flow math that moves a single bit fails the sweep.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -30,7 +35,105 @@ struct SweepStats {
   int direct_checks = 0;  // unthrottled runs probed through CheckFluidOracle
   int geo_cases = 0;      // clusters carrying a link matrix
   int throttled = 0;      // backpressured runs (oracle hook still fired)
+  uint64_t digest = 14695981039346656037ull;  // FNV-1a offset basis
 };
+
+// Order-sensitive FNV-1a over the exact bit patterns of the folded values.
+void Fold(uint64_t word, uint64_t* digest) {
+  for (int byte = 0; byte < 8; ++byte) {
+    *digest ^= (word >> (8 * byte)) & 0xff;
+    *digest *= 1099511628211ull;
+  }
+}
+void Fold(double v, uint64_t* digest) { Fold(std::bit_cast<uint64_t>(v), digest); }
+void Fold(bool v, uint64_t* digest) { Fold(uint64_t{v}, digest); }
+void Fold(const Interval& v, uint64_t* digest) {
+  Fold(v.lo, digest);
+  Fold(v.hi, digest);
+}
+template <typename V>
+void Fold(const std::vector<V>& values, uint64_t* digest) {
+  Fold(uint64_t{values.size()}, digest);
+  for (const V& v : values) Fold(v, digest);
+}
+
+void FoldReport(const sim::FluidReport& r, uint64_t* digest) {
+  for (const sim::NodeStats& s : r.node_stats) {
+    Fold(s.cpu_utilization, digest);
+    Fold(s.net_utilization, digest);
+    Fold(s.memory_mb, digest);
+    Fold(s.gc_factor, digest);
+    Fold(s.crashed, digest);
+  }
+  Fold(r.link_utilization, digest);
+  Fold(r.op_cpu_load_us, digest);
+  Fold(r.op_state_mb, digest);
+  Fold(r.source_scale, digest);
+  Fold(r.bottleneck_utilization, digest);
+  Fold(r.backpressure_rate, digest);
+  const sim::CostMetrics& m = r.noiseless_metrics;
+  Fold(m.throughput, digest);
+  Fold(m.processing_latency_ms, digest);
+  Fold(m.e2e_latency_ms, digest);
+  Fold(m.backpressure, digest);
+  Fold(m.success, digest);
+}
+
+// Folds everything the flow math produces for one triple: the fluid report
+// on an idle cluster and again with the query's own steady-state load as
+// background, that background load, and the zero-uncertainty query and
+// placement intervals (idle and loaded).
+void FoldTriple(const dsps::QueryGraph& query, const sim::Cluster& cluster,
+                const sim::Placement& placement,
+                const sim::FluidReport& idle_report, uint64_t* digest) {
+  FoldReport(idle_report, digest);
+  const sim::BackgroundLoad load =
+      sim::ComputeBackgroundLoad(query, cluster, placement);
+  Fold(load.cpu_load_us, digest);
+  Fold(load.out_bytes_per_s, digest);
+  Fold(load.memory_mb, digest);
+  sim::FluidConfig loaded;
+  loaded.noise_sigma = 0.0;
+  loaded.background = load;
+  FoldReport(sim::EvaluateFluid(query, cluster, placement, loaded), digest);
+
+  const QueryIntervalSummary intervals =
+      AnalyzeQueryIntervals(query, IntervalOptions{}, nullptr);
+  for (const OpIntervals& f : intervals.ops) {
+    Fold(f.in_rate, digest);
+    Fold(f.out_rate, digest);
+    Fold(f.window_tuples, digest);
+    Fold(f.window_duration_s, digest);
+    Fold(f.slide_duration_s, digest);
+    Fold(f.groups, digest);
+    Fold(f.state_mb, digest);
+    Fold(f.cpu_load_us, digest);
+    Fold(f.in_bytes, digest);
+    Fold(f.out_bytes, digest);
+    Fold(f.min_delay_ms, digest);
+  }
+  Fold(intervals.diverged, digest);
+  Fold(intervals.inconsistent_source, digest);
+  Fold(intervals.min_sink_delay_ms, digest);
+  for (const sim::BackgroundLoad* background :
+       {static_cast<const sim::BackgroundLoad*>(nullptr), &load}) {
+    const PlacementIntervalSummary proven = AnalyzePlacementIntervals(
+        query, cluster, placement, intervals, background, nullptr);
+    for (const NodeIntervals& s : proven.nodes) {
+      Fold(s.cpu_load_us, digest);
+      Fold(s.memory_mb, digest);
+      Fold(s.egress_bytes_per_s, digest);
+      Fold(s.gc_factor, digest);
+      Fold(s.cpu_utilization, digest);
+      Fold(s.net_utilization, digest);
+      Fold(s.hosts_op, digest);
+      Fold(s.proven_crash, digest);
+      Fold(s.proven_overload, digest);
+    }
+    Fold(proven.link_utilization, digest);
+    Fold(proven.proven_crash, digest);
+  }
+}
 
 FluidOracleInput OracleInputFrom(const sim::FluidReport& report,
                                  double duration_s) {
@@ -74,6 +177,7 @@ void RunSweep(const workload::GeneratorConfig& config, uint64_t seed,
     const sim::FluidReport report =
         sim::EvaluateFluid(query, cluster, placement, fluid);
     ++stats->evaluated;
+    FoldTriple(query, cluster, placement, report, &stats->digest);
     if (cluster.has_link_matrix()) {
       ++stats->geo_cases;
       EXPECT_EQ(report.link_utilization.size(),
@@ -134,6 +238,11 @@ TEST(VerifyOracleSweepTest, RandomTriplesStayInsideProvenIntervals) {
       &stats);
 
   EXPECT_GE(stats.evaluated, 200);
+  // Recorded before the fluid engine and the interval prover were moved onto
+  // one shared flow kernel; both must stay bit-for-bit unchanged. The pin
+  // assumes IEEE double arithmetic without FMA contraction (the default
+  // x86-64 build, which has no -march flags).
+  EXPECT_EQ(stats.digest, 0xc9dcea2712114f1full) << std::hex << "0x" << stats.digest;
   EXPECT_GT(stats.direct_checks, 0);
   EXPECT_GT(stats.geo_cases, 0);
   // The sweep must include backpressured runs: the oracle's nominal-scale
