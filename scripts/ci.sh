@@ -535,11 +535,15 @@ echo "=== AddressSanitizer interval-oracle sweep ==="
 # triples, geo link matrices included) re-runs under ASan with verification
 # forced on: every fluid evaluation walks the interval analysis's
 # heap-allocated per-op/per-node/per-link vectors, and the pruning A/B
-# exercises the demoted-candidate subset indexing in the service.
+# exercises the demoted-candidate subset indexing in the service. The fluid
+# engine and the interval prover share one flow kernel (sim/flow_kernel.h),
+# so the interval unit suite and the fluid suite run here too.
 cmake --build build-asan -j "$JOBS" \
-  --target verify_oracle_sweep_test service_pruning_test
+  --target verify_oracle_sweep_test service_pruning_test \
+  verify_interval_test sim_fluid_test
 ctest --test-dir build-asan \
-  -R 'verify_oracle_sweep_test|service_pruning_test' --output-on-failure
+  -R 'verify_oracle_sweep_test|service_pruning_test|verify_interval_test|sim_fluid_test' \
+  --output-on-failure
 
 echo "=== AddressSanitizer out-of-core reader sweep ==="
 # TraceReader::Visit hands callbacks references into decoded blocks that the

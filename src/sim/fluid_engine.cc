@@ -9,6 +9,7 @@
 #include "nn/random.h"
 #include "obs/metrics.h"
 #include "sim/cost_model.h"
+#include "sim/flow_kernel.h"
 #include "verify/interval_analysis.h"
 #include "verify/verify.h"
 
@@ -19,125 +20,37 @@ namespace {
 using dsps::OperatorDescriptor;
 using dsps::OperatorType;
 using dsps::QueryGraph;
-using dsps::WindowPolicy;
-
-constexpr double kEpsRate = 1e-9;
-constexpr double kMaxDuration = 1e12;
 
 // Utilization above which queueing delays are capped (fluid M/M/1 waiting
 // time would diverge at 1.0).
 constexpr double kQueueCap = 0.97;
 
-// Steady-state flow through one operator at a given source scale.
-struct OpFlow {
-  double in_rate = 0.0;   // tuples/s entering the operator
-  double out_rate = 0.0;  // tuples/s leaving the operator
-  // Window-node quantities (tuples / seconds); zero elsewhere.
-  double window_tuples = 0.0;
-  double window_duration_s = 0.0;
-  double slide_duration_s = 0.0;
-  double groups = 0.0;         // aggregate operators
-  double state_mb = 0.0;       // operator state held in memory
-  double in_bytes = 0.0;       // bytes per input tuple
-  double out_bytes = 0.0;      // bytes per output tuple
-  double cpu_load_us = 0.0;    // microseconds of reference core per second
-  double service_us = 0.0;     // mean per-tuple service time (reference core)
-};
+using OpFlow = Flow<double>;
 
 std::vector<OpFlow> ComputeFlows(const QueryGraph& query,
                                  const std::vector<int>& topo, double scale) {
   std::vector<OpFlow> flows(query.num_operators());
   for (int id : topo) {
     const OperatorDescriptor& op = query.op(id);
-    OpFlow& f = flows[id];
-    f.in_bytes = dsps::TupleBytes(op.tuple_width_in, op.frac_int,
-                                  op.frac_double, op.frac_string);
-    f.out_bytes = dsps::TupleBytes(op.tuple_width_out, op.frac_int,
-                                   op.frac_double, op.frac_string);
     const std::vector<int> upstream = query.Upstream(id);
-    for (int up : upstream) f.in_rate += flows[up].out_rate;
-
-    switch (op.type) {
-      case OperatorType::kSource: {
-        f.out_rate = op.input_event_rate * scale;
-        f.cpu_load_us = f.out_rate * PerTupleCostUs(op);
-        f.service_us = PerTupleCostUs(op);
-        f.in_bytes = f.out_bytes;
-        break;
-      }
-      case OperatorType::kFilter: {
-        f.out_rate = f.in_rate * op.selectivity;
-        f.service_us = PerTupleCostUs(op);
-        f.cpu_load_us = f.in_rate * f.service_us;
-        break;
-      }
-      case OperatorType::kWindow: {
-        f.out_rate = f.in_rate;
-        const double rate = std::max(f.in_rate, kEpsRate);
-        if (op.window.policy == WindowPolicy::kCountBased) {
-          f.window_tuples = op.window.size;
-          f.window_duration_s = std::min(op.window.size / rate, kMaxDuration);
-          f.slide_duration_s =
-              std::min(op.window.EffectiveSlide() / rate, kMaxDuration);
-        } else {
-          f.window_duration_s = op.window.size;
-          f.window_tuples = rate * op.window.size;
-          f.slide_duration_s = op.window.EffectiveSlide();
-        }
-        f.service_us = PerTupleCostUs(op);
-        f.cpu_load_us = f.in_rate * f.service_us;
-        f.state_mb = WindowStateMb(f.window_tuples, f.in_bytes);
-        break;
-      }
-      case OperatorType::kAggregate: {
-        COSTREAM_CHECK(upstream.size() == 1);
-        const OpFlow& w = flows[upstream[0]];
-        const bool grouped = op.group_by_type != dsps::GroupByType::kNone;
-        f.groups = grouped
-                       ? std::clamp(op.selectivity * w.window_tuples, 1.0,
-                                    std::max(w.window_tuples, 1.0))
-                       : 1.0;
-        const double slide = std::max(w.slide_duration_s, 1e-6);
-        f.out_rate = w.window_tuples > 0.0 ? f.groups / slide : 0.0;
-        f.service_us = PerTupleCostUs(op);
-        f.cpu_load_us =
-            f.in_rate * f.service_us + f.out_rate * PerOutputCostUs(op);
-        f.state_mb = AggregateStateMb(f.groups, f.out_bytes);
-        break;
-      }
-      case OperatorType::kJoin: {
-        COSTREAM_CHECK(upstream.size() == 2);
-        const OpFlow& w1 = flows[upstream[0]];
-        const OpFlow& w2 = flows[upstream[1]];
-        // Each arriving tuple of stream 1 probes window 2 and vice versa
-        // (Definition 7 gives the match probability).
-        const double matches = op.selectivity * (w1.out_rate * w2.window_tuples +
-                                                 w2.out_rate * w1.window_tuples);
-        f.out_rate = matches;
-        const double cost1 = PerTupleCostUs(op, w2.window_tuples);
-        const double cost2 = PerTupleCostUs(op, w1.window_tuples);
-        f.cpu_load_us = w1.out_rate * cost1 + w2.out_rate * cost2 +
-                        f.out_rate * PerOutputCostUs(op);
-        const double total_in = std::max(w1.out_rate + w2.out_rate, kEpsRate);
-        f.service_us = (w1.out_rate * cost1 + w2.out_rate * cost2) / total_in;
-        // Probe index over both windows.
-        f.state_mb = 0.3 * (WindowStateMb(w1.window_tuples, w1.out_bytes) +
-                            WindowStateMb(w2.window_tuples, w2.out_bytes));
-        break;
-      }
-      case OperatorType::kSink: {
-        f.out_rate = f.in_rate;
-        f.service_us = PerTupleCostUs(op);
-        f.cpu_load_us = f.in_rate * f.service_us;
-        break;
-      }
-    }
+    COSTREAM_CHECK(op.type != OperatorType::kAggregate || upstream.size() == 1);
+    COSTREAM_CHECK(op.type != OperatorType::kJoin || upstream.size() == 2);
+    flows[id] = TransferFlow(op, upstream, flows, scale);
   }
   return flows;
 }
 
+// Mean per-tuple service time (reference core); a join averages its two
+// probe costs weighted by the arrival rates.
+double ServiceUs(const OperatorDescriptor& op, const std::vector<int>& upstream,
+                 const std::vector<OpFlow>& flows, int id) {
+  if (op.type != OperatorType::kJoin) return PerTupleCostUs(op);
+  return JoinProbeLoadUs(op, flows[upstream[0]], flows[upstream[1]]) /
+         std::max(flows[id].in_rate, kEpsRate);
+}
+
 struct NodeEval {
-  std::vector<NodeStats> stats;
+  std::vector<NodeDemand<double>> nodes;
   // Per directed link (flattened row-major), only filled when the cluster
   // carries a link matrix; empty for legacy per-node clusters.
   std::vector<double> link_utilization;
@@ -149,75 +62,23 @@ NodeEval EvaluateNodes(const QueryGraph& query, const Cluster& cluster,
                        const std::vector<OpFlow>& flows,
                        const BackgroundLoad& background) {
   NodeEval eval;
-  eval.stats.resize(cluster.num_nodes());
-  std::vector<double> cpu_load(cluster.num_nodes(), 0.0);
-  std::vector<double> out_bytes(cluster.num_nodes(), 0.0);
-  std::vector<bool> hosts_op(cluster.num_nodes(), false);
-  if (!background.empty()) {
-    COSTREAM_CHECK(static_cast<int>(background.cpu_load_us.size()) ==
-                   cluster.num_nodes());
-    for (int n = 0; n < cluster.num_nodes(); ++n) {
-      cpu_load[n] += background.cpu_load_us[n];
-      out_bytes[n] += background.out_bytes_per_s[n];
-      eval.stats[n].memory_mb += background.memory_mb[n];
-    }
-  }
-
-  for (int id = 0; id < query.num_operators(); ++id) {
-    const int node = placement[id];
-    hosts_op[node] = true;
-    cpu_load[node] += flows[id].cpu_load_us;
-    eval.stats[node].memory_mb += flows[id].state_mb;
-    // In-flight queue buffers (~50ms of arrivals).
-    eval.stats[node].memory_mb += flows[id].in_rate * flows[id].in_bytes *
-                                  kInflightBufferSeconds / (1024.0 * 1024.0);
-  }
-  // Per-link traffic: co-routed flows (edges placed over the same directed
-  // node pair) sum into the same link and therefore share its capacity.
-  const bool has_links = cluster.has_link_matrix();
-  std::vector<double> link_bytes;
-  if (has_links) {
-    link_bytes.assign(
-        static_cast<size_t>(cluster.num_nodes()) * cluster.num_nodes(), 0.0);
-  }
-  for (const auto& [from, to] : query.edges()) {
-    if (placement[from] != placement[to]) {
-      out_bytes[placement[from]] += flows[from].out_rate * flows[from].out_bytes;
-      if (has_links) {
-        link_bytes[placement[from] * cluster.num_nodes() + placement[to]] +=
-            flows[from].out_rate * flows[from].out_bytes;
-      }
-    }
-  }
-  for (int n = 0; n < cluster.num_nodes(); ++n) {
-    NodeStats& s = eval.stats[n];
-    if (hosts_op[n]) s.memory_mb += kWorkerBaseMemoryMb;
-    const HardwareNode& hw = cluster.nodes[n];
-    s.gc_factor = GcSlowdown(s.memory_mb, hw.ram_mb);
-    s.crashed = s.memory_mb > CrashMemoryMb(hw.ram_mb);
-    const double cores = hw.cpu_pct / 100.0;
-    s.cpu_utilization = cpu_load[n] * s.gc_factor / 1e6 / std::max(cores, 1e-3);
-    s.net_utilization =
-        out_bytes[n] * 8.0 / std::max(hw.bandwidth_mbits * 1e6, 1.0);
+  AccumulateDemand(query, cluster, placement, flows, &background,
+                   cluster.has_link_matrix(), &eval.nodes,
+                   &eval.link_utilization);
+  for (const NodeDemand<double>& s : eval.nodes) {
     eval.max_utilization = std::max(
         eval.max_utilization, std::max(s.cpu_utilization, s.net_utilization));
   }
-  // Per-link constraint: a WAN link saturates independently of the sender's
-  // NIC, and every flow routed over it is throttled together.
-  if (has_links) {
-    const int n = cluster.num_nodes();
-    eval.link_utilization.assign(static_cast<size_t>(n) * n, 0.0);
-    for (int from = 0; from < n; ++from) {
-      for (int to = 0; to < n; ++to) {
-        const double bytes = link_bytes[from * n + to];
-        if (bytes <= 0.0) continue;
-        const double util =
-            bytes * 8.0 /
-            std::max(cluster.LinkBandwidthMbits(from, to) * 1e6, 1.0);
-        eval.link_utilization[from * n + to] = util;
-        eval.max_utilization = std::max(eval.max_utilization, util);
-      }
+  // Per-link constraint: every flow routed over a saturated link is
+  // throttled together. Only links that carry an edge can be loaded.
+  for (const auto& [from, to] : query.edges()) {
+    if (eval.link_utilization.empty() || placement[from] == placement[to]) {
+      continue;
     }
+    eval.max_utilization = std::max(
+        eval.max_utilization,
+        eval.link_utilization[placement[from] * cluster.num_nodes() +
+                              placement[to]]);
   }
   // Per-operator constraint: one operator instance runs single-threaded, so
   // an operator can use at most min(parallelism, node cores) cores even on
@@ -229,21 +90,34 @@ NodeEval EvaluateNodes(const QueryGraph& query, const Cluster& cluster,
     const double op_cores =
         EffectiveOpCores(query.op(id).parallelism, hw.cpu_pct);
     const double op_util =
-        flows[id].cpu_load_us * eval.stats[n].gc_factor / 1e6 / op_cores;
+        flows[id].cpu_load_us * eval.nodes[n].gc_factor / 1e6 / op_cores;
     eval.max_utilization = std::max(eval.max_utilization, op_util);
   }
   return eval;
+}
+
+std::vector<NodeStats> StatsOf(const NodeEval& eval, const Cluster& cluster) {
+  std::vector<NodeStats> stats(eval.nodes.size());
+  for (size_t n = 0; n < stats.size(); ++n) {
+    const NodeDemand<double>& d = eval.nodes[n];
+    stats[n].cpu_utilization = d.cpu_utilization;
+    stats[n].net_utilization = d.net_utilization;
+    stats[n].memory_mb = d.memory_mb;
+    stats[n].gc_factor = d.gc_factor;
+    stats[n].crashed = d.memory_mb > CrashMemoryMb(cluster.nodes[n].ram_mb);
+  }
+  return stats;
 }
 
 double QueueMultiplier(double utilization) {
   return 1.0 / (1.0 - std::min(utilization, kQueueCap));
 }
 
-}  // namespace
-
-FluidReport EvaluateFluid(const QueryGraph& query, const Cluster& cluster,
-                          const Placement& placement,
-                          const FluidConfig& config) {
+// EvaluateFluid's body. `final_nodes`, when given, receives the per-node
+// demand at the sustained source scale (before any backpressure backlog).
+FluidReport Evaluate(const QueryGraph& query, const Cluster& cluster,
+                     const Placement& placement, const FluidConfig& config,
+                     std::vector<NodeDemand<double>>* final_nodes) {
   COSTREAM_CHECK_MSG(query.Validate().empty(), query.Validate().c_str());
   COSTREAM_CHECK_MSG(ValidatePlacement(query, cluster, placement).empty(),
                      "invalid placement");
@@ -259,6 +133,9 @@ FluidReport EvaluateFluid(const QueryGraph& query, const Cluster& cluster,
       obs::GetCounter("sim.fluid.backpressure");
   static obs::Counter& metric_crashes = obs::GetCounter("sim.fluid.crashes");
   metric_evals.Increment();
+  COSTREAM_CHECK(config.background.empty() ||
+                 static_cast<int>(config.background.cpu_load_us.size()) ==
+                     cluster.num_nodes());
 
   const std::vector<int> topo = query.TopologicalOrder();
 
@@ -299,7 +176,7 @@ FluidReport EvaluateFluid(const QueryGraph& query, const Cluster& cluster,
   const std::vector<OpFlow> flows = ComputeFlows(query, topo, scale);
   const NodeEval eval =
       EvaluateNodes(query, cluster, placement, flows, config.background);
-  report.node_stats = eval.stats;
+  report.node_stats = StatsOf(eval, cluster);
   report.link_utilization = eval.link_utilization;
   report.op_cpu_load_us.reserve(query.num_operators());
   report.op_state_mb.reserve(query.num_operators());
@@ -356,8 +233,9 @@ FluidReport EvaluateFluid(const QueryGraph& query, const Cluster& cluster,
     const int node = placement[id];
     const NodeStats& ns = report.node_stats[node];
     const HardwareNode& hw = cluster.nodes[node];
+    const std::vector<int> upstream = query.Upstream(id);
     double arrival = 0.0;
-    for (int up : query.Upstream(id)) {
+    for (int up : upstream) {
       double edge_ms = 0.0;
       const int up_node = placement[up];
       if (up_node != node) {
@@ -386,7 +264,8 @@ FluidReport EvaluateFluid(const QueryGraph& query, const Cluster& cluster,
     }
     // A single tuple is processed by one instance, which runs on one core.
     const double instance_cores = std::min(hw.cpu_pct / 100.0, 1.0);
-    const double service_ms = flows[id].service_us * ns.gc_factor /
+    const double service_ms = ServiceUs(query.op(id), upstream, flows, id) *
+                              ns.gc_factor /
                               std::max(instance_cores, 1e-3) / 1000.0 *
                               QueueMultiplier(ns.cpu_utilization);
     // Windowed results wait for the window to fill / slide: the oldest
@@ -448,9 +327,9 @@ FluidReport EvaluateFluid(const QueryGraph& query, const Cluster& cluster,
     static obs::Counter& metric_oracle_violations =
         obs::GetCounter("verify.oracle.violations");
     verify::FluidOracleInput oracle;
-    oracle.node_cpu_utilization.reserve(nominal_eval.stats.size());
-    oracle.node_net_utilization.reserve(nominal_eval.stats.size());
-    for (const NodeStats& s : nominal_eval.stats) {
+    oracle.node_cpu_utilization.reserve(nominal_eval.nodes.size());
+    oracle.node_net_utilization.reserve(nominal_eval.nodes.size());
+    for (const NodeDemand<double>& s : nominal_eval.nodes) {
       oracle.node_cpu_utilization.push_back(s.cpu_utilization);
       oracle.node_net_utilization.push_back(s.net_utilization);
     }
@@ -468,7 +347,16 @@ FluidReport EvaluateFluid(const QueryGraph& query, const Cluster& cluster,
       std::abort();
     }
   }
+  if (final_nodes != nullptr) *final_nodes = eval.nodes;
   return report;
+}
+
+}  // namespace
+
+FluidReport EvaluateFluid(const QueryGraph& query, const Cluster& cluster,
+                          const Placement& placement,
+                          const FluidConfig& config) {
+  return Evaluate(query, cluster, placement, config, nullptr);
 }
 
 BackgroundLoad ComputeBackgroundLoad(const QueryGraph& query,
@@ -476,34 +364,15 @@ BackgroundLoad ComputeBackgroundLoad(const QueryGraph& query,
                                      const Placement& placement) {
   FluidConfig config;
   config.noise_sigma = 0.0;
-  const FluidReport report = EvaluateFluid(query, cluster, placement, config);
+  std::vector<NodeDemand<double>> nodes;
+  Evaluate(query, cluster, placement, config, &nodes);
 
+  // The query's own demand at its sustained rates, on an idle cluster.
   BackgroundLoad load;
-  load.cpu_load_us.assign(cluster.num_nodes(), 0.0);
-  load.out_bytes_per_s.assign(cluster.num_nodes(), 0.0);
-  load.memory_mb.assign(cluster.num_nodes(), 0.0);
-
-  const std::vector<int> topo = query.TopologicalOrder();
-  const std::vector<OpFlow> flows =
-      ComputeFlows(query, topo, report.source_scale);
-  std::vector<bool> hosts_op(cluster.num_nodes(), false);
-  for (int id = 0; id < query.num_operators(); ++id) {
-    const int n = placement[id];
-    hosts_op[n] = true;
-    load.cpu_load_us[n] += flows[id].cpu_load_us;
-    load.memory_mb[n] += flows[id].state_mb;
-    load.memory_mb[n] += flows[id].in_rate * flows[id].in_bytes *
-                         kInflightBufferSeconds / (1024.0 * 1024.0);
-  }
-  for (const auto& [from, to] : query.edges()) {
-    if (placement[from] != placement[to]) {
-      load.out_bytes_per_s[placement[from]] +=
-          flows[from].out_rate * flows[from].out_bytes;
-    }
-  }
-  // Each query runs its own worker process on every node it touches.
-  for (int n = 0; n < cluster.num_nodes(); ++n) {
-    if (hosts_op[n]) load.memory_mb[n] += kWorkerBaseMemoryMb;
+  for (const NodeDemand<double>& s : nodes) {
+    load.cpu_load_us.push_back(s.cpu_load_us);
+    load.out_bytes_per_s.push_back(s.egress_bytes_per_s);
+    load.memory_mb.push_back(s.memory_mb);
   }
   return load;
 }
@@ -527,7 +396,8 @@ void AccumulateBackgroundLoad(const BackgroundLoad& extra, int nodes,
 
 NodeCapacity CapacityOf(const HardwareNode& node) {
   NodeCapacity cap;
-  // Mirrors EvaluateNodes: cpu_utilization = cpu_load_us / 1e6 / cores and
+  // The denominators of AccumulateDemand's utilizations (flow_kernel.h):
+  // cpu_utilization = cpu_load_us / 1e6 / cores and
   // net_utilization = out_bytes * 8 / (bandwidth_mbits * 1e6).
   cap.cpu_us_per_s = std::max(node.cpu_pct / 100.0, 1e-3) * 1e6;
   cap.net_bytes_per_s = std::max(node.bandwidth_mbits * 1e6, 1.0) / 8.0;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "dsps/query_graph.h"
+#include "sim/flow_kernel.h"
 #include "sim/fluid_engine.h"
 #include "sim/hardware.h"
 #include "verify/rules.h"
@@ -14,13 +15,14 @@ namespace costream::verify {
 // Interval abstract interpretation over streaming-query DAGs (DF rule
 // family). The analysis propagates closed [lo, hi] intervals for tuple
 // rates, window contents, operator state and CPU load forward through the
-// operator graph, using transfer functions that over-approximate the fluid
-// engine's steady-state flow math exactly (same formulas, evaluated at the
-// interval endpoints — every per-quantity formula is monotone in its flow
-// inputs, so endpoint evaluation is sound). Combined with a placement and a
-// cluster, the per-operator intervals yield *proven* per-node CPU/RAM/network
-// and per-directed-link bandwidth intervals: any value the fluid engine can
-// produce at the nominal source rates lies inside them. Three consumers:
+// operator graph by instantiating the fluid engine's own flow kernel
+// (sim/flow_kernel.h) with T = Interval: one copy of the formulas, built from
+// primitives that are monotone in their flow inputs (Div pairs opposite
+// endpoints), so the intervals are sound by construction. Combined with a
+// placement and a cluster, the per-operator intervals yield *proven*
+// per-node CPU/RAM/network and per-directed-link bandwidth intervals: any
+// value the fluid engine can produce at the nominal source rates lies inside
+// them. Three consumers:
 //
 //   * lint rules DF001-DF005 (VerifyPlacedQuery / costream_lint),
 //   * a runtime oracle cross-checking every fluid evaluation (CheckFluidOracle,
@@ -35,25 +37,33 @@ struct Interval {
   double lo = 0.0;
   double hi = 0.0;
 
-  static Interval Point(double v) { return {v, v}; }
-  static Interval Of(double lo, double hi) { return {lo, hi}; }
+  constexpr Interval() = default;
+  constexpr explicit Interval(double v) : lo(v), hi(v) {}
+  constexpr Interval(double lower, double upper) : lo(lower), hi(upper) {}
 
   bool valid() const { return lo <= hi; }
   bool is_point() const { return lo == hi; }
+  bool operator==(const Interval&) const = default;
 
-  // Containment with relative slack: mirrored formulas in two translation
-  // units may round differently (FP contraction), so the oracle allows a few
-  // hundred ulps of slack around the proven bounds.
+  // Containment with slack rel_tol * max(1, |bound|) beyond either bound.
   bool Contains(double v, double rel_tol) const;
 };
 
-// Sound interval arithmetic over non-negative quantities. Mul treats
-// 0 * inf as 0 (the supremum of x*y over bounded x is what we bound).
-Interval IntervalAdd(const Interval& a, const Interval& b);
-Interval IntervalMul(const Interval& a, const Interval& b);
-// a / b with b > 0 elementwise (callers floor the denominator first).
-Interval IntervalDiv(const Interval& a, const Interval& b);
-Interval IntervalMax(const Interval& a, double floor);
+// The flow kernel's primitives for T = Interval (found by ADL), sound over
+// non-negative quantities. Mul treats 0 * inf as 0 (the supremum of x*y over
+// bounded x is what we bound).
+Interval Add(const Interval& a, const Interval& b);
+Interval Mul(const Interval& a, const Interval& b);
+// a / b with b > 0 elementwise (callers floor the denominator first); the
+// quotient is antitone in b, so each endpoint pairs b's opposite endpoint.
+Interval Div(const Interval& a, const Interval& b);
+Interval Max(const Interval& a, const Interval& b);
+Interval Min(const Interval& a, const Interval& b);
+// Image of a nondecreasing function: `fn` at both endpoints.
+template <typename Fn>
+Interval Apply(Fn fn, const Interval& a) {
+  return {fn(a.lo), fn(a.hi)};
+}
 // Smallest interval containing both (the lattice join used by widening).
 Interval IntervalJoin(const Interval& a, const Interval& b);
 
@@ -63,30 +73,14 @@ struct IntervalOptions {
   // analysis exact at the nominal rates, which is what the fluid oracle and
   // the pruning pre-pass need.
   double rate_uncertainty = 0.0;
-  // Absolute slack applied to every selectivity, clamped to [0, 1].
-  double selectivity_uncertainty = 0.0;
   // Run duration against which the DF005 delay bound is checked. Matches
   // FluidConfig::duration_s.
   double duration_s = 240.0;
-  // Fixpoint rounds before widening to +infinity on cyclic graphs. Cycles
-  // are already QG003 errors; bounded iteration plus widening just keeps the
-  // analysis total (it terminates and stays sound on any input).
-  int max_iterations = 4;
 };
 
-// Per-operator interval mirror of the fluid engine's OpFlow at the nominal
-// source rates (scale == 1).
-struct OpIntervals {
-  Interval in_rate;           // tuples/s entering the operator
-  Interval out_rate;          // tuples/s leaving the operator
-  Interval window_tuples;     // window nodes; zero elsewhere
-  Interval window_duration_s;
-  Interval slide_duration_s;
-  Interval groups;            // aggregate operators
-  Interval state_mb;          // operator state held in memory
-  Interval cpu_load_us;       // reference-core microseconds per second
-  double in_bytes = 0.0;      // bytes per tuple are point values
-  double out_bytes = 0.0;
+// Per-operator flow intervals at the nominal source rates (scale == 1): the
+// flow kernel's sim::Flow<Interval>, plus the event-time delay bound.
+struct OpIntervals : sim::Flow<Interval> {
   // Lower bound on the event-time delay (ms) from the oldest contributing
   // input tuple to this operator's output: the sum of window residence
   // waits along the slowest path. Transfer, queueing and service times are
@@ -116,16 +110,11 @@ QueryIntervalSummary AnalyzeQueryIntervals(const dsps::QueryGraph& query,
                                            const IntervalOptions& options,
                                            VerifyReport* report);
 
-// Proven per-node demand, mirroring the fluid engine's EvaluateNodes at the
-// nominal rates (background included when given).
-struct NodeIntervals {
-  Interval cpu_load_us;
-  Interval memory_mb;
-  Interval egress_bytes_per_s;
-  Interval gc_factor;
-  Interval cpu_utilization;
-  Interval net_utilization;
-  bool hosts_op = false;
+// Proven per-node demand at the nominal rates (background included when
+// given): the flow kernel's sim::NodeDemand<Interval> (cpu_load_us,
+// memory_mb, egress_bytes_per_s, gc_factor, cpu/net utilization, hosts_op),
+// plus the proofs drawn from it.
+struct NodeIntervals : sim::NodeDemand<Interval> {
   // memory_mb.lo exceeds CrashMemoryMb(ram): the worker provably crashes.
   bool proven_crash = false;
   // cpu or net utilization lower bound exceeds 1: provable backpressure.

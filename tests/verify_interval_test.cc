@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <string_view>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "sim/hardware.h"
 #include "verify/interval_analysis.h"
 #include "verify/placement_rules.h"
+#include "workload/generator.h"
 
 namespace costream::verify {
 namespace {
@@ -247,30 +249,30 @@ TEST(IntervalArithmeticTest, AddMulDivJoinAreSoundOnSampledPoints) {
     const double a_hi = a_lo + rng.Uniform(0.0, 100.0);
     const double b_lo = rng.Uniform(0.1, 100.0);
     const double b_hi = b_lo + rng.Uniform(0.0, 100.0);
-    const Interval a = Interval::Of(a_lo, a_hi);
-    const Interval b = Interval::Of(b_lo, b_hi);
+    const Interval a = Interval(a_lo, a_hi);
+    const Interval b = Interval(b_lo, b_hi);
     const double x = rng.Uniform(a_lo, a_hi);
     const double y = rng.Uniform(b_lo, b_hi);
-    EXPECT_TRUE(IntervalAdd(a, b).Contains(x + y, 1e-12));
-    EXPECT_TRUE(IntervalMul(a, b).Contains(x * y, 1e-12));
-    EXPECT_TRUE(IntervalDiv(a, b).Contains(x / y, 1e-12));
+    EXPECT_TRUE(Add(a, b).Contains(x + y, 1e-12));
+    EXPECT_TRUE(Mul(a, b).Contains(x * y, 1e-12));
+    EXPECT_TRUE(Div(a, b).Contains(x / y, 1e-12));
     EXPECT_TRUE(IntervalJoin(a, b).Contains(x, 1e-12));
     EXPECT_TRUE(IntervalJoin(a, b).Contains(y, 1e-12));
-    EXPECT_TRUE(IntervalMax(a, 50.0).Contains(std::fmax(x, 50.0), 1e-12));
+    EXPECT_TRUE(Max(a, Interval(50.0)).Contains(std::fmax(x, 50.0), 1e-12));
   }
 }
 
 TEST(IntervalArithmeticTest, MulTreatsZeroTimesInfinityAsZero) {
-  const Interval zero = Interval::Point(0.0);
+  const Interval zero = Interval(0.0);
   const Interval unbounded =
-      Interval::Of(0.0, std::numeric_limits<double>::infinity());
-  const Interval product = IntervalMul(zero, unbounded);
+      Interval(0.0, std::numeric_limits<double>::infinity());
+  const Interval product = Mul(zero, unbounded);
   EXPECT_EQ(product.lo, 0.0);
   EXPECT_EQ(product.hi, 0.0);
 }
 
 TEST(IntervalArithmeticTest, ContainsAllowsRelativeSlackOnly) {
-  const Interval iv = Interval::Of(100.0, 200.0);
+  const Interval iv = Interval(100.0, 200.0);
   EXPECT_TRUE(iv.Contains(100.0, 1e-6));
   EXPECT_TRUE(iv.Contains(200.0, 1e-6));
   EXPECT_TRUE(iv.Contains(200.0 * (1.0 + 1e-7), 1e-6));
@@ -294,39 +296,65 @@ TEST(IntervalAnalysisTest, ExactAnalysisOfDagIsPointwise) {
 // ---- Uncertainty containment -----------------------------------------------
 
 // The uncertain analysis at rate_uncertainty u must contain the exact
-// analysis of every query whose source rates are perturbed within +-u.
+// analysis of every query whose source rates are perturbed within +-u — in
+// every flow quantity, including the antitone count-window durations and the
+// aggregate's groups / slide — and its delay bound must stay a lower bound.
+// Generator queries of all four templates cover count- and time-based
+// windows, grouped aggregates and 2-/3-way joins; each source gets its own
+// perturbation factor.
 TEST(IntervalAnalysisTest, UncertainIntervalsContainPerturbedPointRuns) {
+  const workload::QueryGenerator generator(workload::GeneratorConfig{});
+  const workload::QueryTemplate templates[] = {
+      workload::QueryTemplate::kLinear, workload::QueryTemplate::kTwoWayJoin,
+      workload::QueryTemplate::kThreeWayJoin,
+      workload::QueryTemplate::kFilterChain};
   nn::Rng rng(7);
   IntervalOptions uncertain;
   uncertain.rate_uncertainty = 0.1;
-  for (int trial = 0; trial < 50; ++trial) {
-    QueryGraph query = WindowedQuery(WindowPolicy::kCountBased, 100.0, 100.0);
+  int count_windows = 0;
+  int time_windows = 0;
+  int grouped_aggregates = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const QueryGraph query = generator.Generate(templates[trial % 4], rng);
     const QueryIntervalSummary wide =
         AnalyzeQueryIntervals(query, uncertain, nullptr);
     ASSERT_FALSE(wide.diverged);
 
     QueryGraph perturbed = query;
-    const double factor = rng.Uniform(0.9, 1.1);
     for (int id = 0; id < perturbed.num_operators(); ++id) {
-      if (perturbed.op(id).type == OperatorType::kSource) {
-        perturbed.mutable_op(id).input_event_rate *= factor;
+      OperatorDescriptor& op = perturbed.mutable_op(id);
+      if (op.type == OperatorType::kSource) {
+        op.input_event_rate *= rng.Uniform(0.9, 1.1);
+      } else if (op.type == OperatorType::kWindow) {
+        ++(op.window.policy == WindowPolicy::kCountBased ? count_windows
+                                                          : time_windows);
+      } else if (op.type == OperatorType::kAggregate &&
+                 op.group_by_type != dsps::GroupByType::kNone) {
+        ++grouped_aggregates;
       }
     }
     const QueryIntervalSummary exact =
         AnalyzeQueryIntervals(perturbed, IntervalOptions{}, nullptr);
     ASSERT_EQ(exact.ops.size(), wide.ops.size());
     for (size_t i = 0; i < exact.ops.size(); ++i) {
-      EXPECT_TRUE(wide.ops[i].in_rate.Contains(exact.ops[i].in_rate.lo, 1e-9))
-          << "op " << i << " in_rate " << exact.ops[i].in_rate.lo << " not in ["
-          << wide.ops[i].in_rate.lo << ", " << wide.ops[i].in_rate.hi << "]";
-      EXPECT_TRUE(
-          wide.ops[i].out_rate.Contains(exact.ops[i].out_rate.lo, 1e-9));
-      EXPECT_TRUE(
-          wide.ops[i].cpu_load_us.Contains(exact.ops[i].cpu_load_us.lo, 1e-9));
-      EXPECT_TRUE(
-          wide.ops[i].state_mb.Contains(exact.ops[i].state_mb.lo, 1e-9));
+      const OpIntervals& w = wide.ops[i];
+      const OpIntervals& x = exact.ops[i];
+      // kFlowQuantities lists every Interval field of OpIntervals.
+      for (size_t k = 0; k < std::size(sim::kFlowQuantities<Interval>); ++k) {
+        const auto q = sim::kFlowQuantities<Interval>[k];
+        ASSERT_TRUE((x.*q).is_point());
+        EXPECT_TRUE((w.*q).Contains((x.*q).lo, 1e-9))
+            << "trial " << trial << " op " << i << " quantity " << k << ": "
+            << (x.*q).lo << " not in [" << (w.*q).lo << ", " << (w.*q).hi
+            << "]";
+      }
+      EXPECT_LE(w.min_delay_ms, x.min_delay_ms * (1.0 + 1e-9))
+          << "trial " << trial << " op " << i;
     }
   }
+  EXPECT_GT(count_windows, 0);
+  EXPECT_GT(time_windows, 0);
+  EXPECT_GT(grouped_aggregates, 0);
 }
 
 // ---- VerifyOptions slack factors (satellite a) -----------------------------

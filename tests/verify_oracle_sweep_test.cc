@@ -45,7 +45,9 @@ void Fold(uint64_t word, uint64_t* digest) {
     *digest *= 1099511628211ull;
   }
 }
-void Fold(double v, uint64_t* digest) { Fold(std::bit_cast<uint64_t>(v), digest); }
+void Fold(double v, uint64_t* digest) {
+  Fold(std::bit_cast<uint64_t>(v), digest);
+}
 void Fold(bool v, uint64_t* digest) { Fold(uint64_t{v}, digest); }
 void Fold(const Interval& v, uint64_t* digest) {
   Fold(v.lo, digest);
@@ -191,6 +193,27 @@ void RunSweep(const workload::GeneratorConfig& config, uint64_t seed,
                            OracleInputFrom(report, fluid.duration_s));
       EXPECT_EQ(violation, "")
           << "triple " << i << " (seed " << seed << ")";
+      // Both sides run the same flow kernel, so the point intervals are the
+      // engine's values exactly, not just within the oracle's tolerance.
+      const PlacementIntervalSummary proven = AnalyzePlacementIntervals(
+          query, cluster, placement,
+          AnalyzeQueryIntervals(query, IntervalOptions{}, nullptr),
+          &fluid.background, nullptr);
+      ASSERT_EQ(proven.nodes.size(), report.node_stats.size());
+      for (size_t n = 0; n < proven.nodes.size(); ++n) {
+        const sim::NodeStats& s = report.node_stats[n];
+        EXPECT_EQ(proven.nodes[n].cpu_utilization,
+                  Interval(s.cpu_utilization));
+        EXPECT_EQ(proven.nodes[n].net_utilization,
+                  Interval(s.net_utilization));
+        EXPECT_EQ(proven.nodes[n].memory_mb, Interval(s.memory_mb));
+      }
+      ASSERT_EQ(proven.link_utilization.size(),
+                report.link_utilization.size());
+      for (size_t l = 0; l < proven.link_utilization.size(); ++l) {
+        EXPECT_EQ(proven.link_utilization[l],
+                  Interval(report.link_utilization[l]));
+      }
       ++stats->direct_checks;
     } else {
       ++stats->throttled;
@@ -242,7 +265,8 @@ TEST(VerifyOracleSweepTest, RandomTriplesStayInsideProvenIntervals) {
   // one shared flow kernel; both must stay bit-for-bit unchanged. The pin
   // assumes IEEE double arithmetic without FMA contraction (the default
   // x86-64 build, which has no -march flags).
-  EXPECT_EQ(stats.digest, 0xc9dcea2712114f1full) << std::hex << "0x" << stats.digest;
+  EXPECT_EQ(stats.digest, 0xc9dcea2712114f1full)
+      << std::hex << "0x" << stats.digest;
   EXPECT_GT(stats.direct_checks, 0);
   EXPECT_GT(stats.geo_cases, 0);
   // The sweep must include backpressured runs: the oracle's nominal-scale
