@@ -249,8 +249,8 @@ TEST(IntervalArithmeticTest, AddMulDivJoinAreSoundOnSampledPoints) {
     const double a_hi = a_lo + rng.Uniform(0.0, 100.0);
     const double b_lo = rng.Uniform(0.1, 100.0);
     const double b_hi = b_lo + rng.Uniform(0.0, 100.0);
-    const Interval a = Interval(a_lo, a_hi);
-    const Interval b = Interval(b_lo, b_hi);
+    const Interval a(a_lo, a_hi);
+    const Interval b(b_lo, b_hi);
     const double x = rng.Uniform(a_lo, a_hi);
     const double y = rng.Uniform(b_lo, b_hi);
     EXPECT_TRUE(Add(a, b).Contains(x + y, 1e-12));
@@ -263,16 +263,15 @@ TEST(IntervalArithmeticTest, AddMulDivJoinAreSoundOnSampledPoints) {
 }
 
 TEST(IntervalArithmeticTest, MulTreatsZeroTimesInfinityAsZero) {
-  const Interval zero = Interval(0.0);
-  const Interval unbounded =
-      Interval(0.0, std::numeric_limits<double>::infinity());
+  const Interval zero(0.0);
+  const Interval unbounded(0.0, std::numeric_limits<double>::infinity());
   const Interval product = Mul(zero, unbounded);
   EXPECT_EQ(product.lo, 0.0);
   EXPECT_EQ(product.hi, 0.0);
 }
 
 TEST(IntervalArithmeticTest, ContainsAllowsRelativeSlackOnly) {
-  const Interval iv = Interval(100.0, 200.0);
+  const Interval iv(100.0, 200.0);
   EXPECT_TRUE(iv.Contains(100.0, 1e-6));
   EXPECT_TRUE(iv.Contains(200.0, 1e-6));
   EXPECT_TRUE(iv.Contains(200.0 * (1.0 + 1e-7), 1e-6));
