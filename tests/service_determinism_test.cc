@@ -2,7 +2,11 @@
 // how many scorer threads it uses: per-candidate scoring writes into
 // per-index slots and selection walks candidates in enumeration order, so a
 // seeded churn script replays to the same admissions, the same final
-// placements, and the same ledger totals at 1 and 4 threads.
+// placements, and the same ledger totals at 1 and 4 threads. A longer
+// ramp/churn/rip-up script is also folded into one decision digest pinned to
+// its recorded value, so any change to the ledger or the admission path that
+// moves a single decision bit fails the suite.
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -137,6 +141,127 @@ TEST(ServiceDeterminismTest, RerunWithSameThreadsIsIdentical) {
     EXPECT_EQ(a.admissions[i].predicted, b.admissions[i].predicted);
   }
   EXPECT_EQ(a.final_placements, b.final_placements);
+}
+
+// Order-sensitive FNV-1a over the exact bit patterns of the folded values
+// (the same fold as the oracle sweep's flow digest).
+void Fold(uint64_t word, uint64_t* digest) {
+  for (int byte = 0; byte < 8; ++byte) {
+    *digest ^= (word >> (8 * byte)) & 0xff;
+    *digest *= 1099511628211ull;
+  }
+}
+void Fold(int64_t v, uint64_t* digest) {
+  Fold(static_cast<uint64_t>(v), digest);
+}
+void Fold(int v, uint64_t* digest) { Fold(static_cast<int64_t>(v), digest); }
+void Fold(double v, uint64_t* digest) {
+  Fold(std::bit_cast<uint64_t>(v), digest);
+}
+void Fold(bool v, uint64_t* digest) { Fold(uint64_t{v}, digest); }
+template <typename V>
+void Fold(const std::vector<V>& values, uint64_t* digest) {
+  Fold(uint64_t{values.size()}, digest);
+  for (const V& v : values) Fold(v, digest);
+}
+void Fold(const AdmitResult& r, uint64_t* digest) {
+  Fold(r.id, digest);
+  Fold(r.placement, digest);
+  Fold(r.predicted, digest);
+  Fold(r.penalized, digest);
+  Fold(r.feasible, digest);
+  Fold(r.candidates_evaluated, digest);
+}
+void Fold(const ConvergeResult& r, uint64_t* digest) {
+  Fold(r.iterations, digest);
+  Fold(r.ripups, digest);
+  Fold(r.converged, digest);
+  Fold(r.overflowed_nodes, digest);
+}
+
+// Every admission, retirement and rip-up of a script that ramps the tenancy
+// past several of the ledger's prefix-checkpoint strides, churns (retiring
+// the oldest, the newest and middle tenants, admitting synchronously and
+// through the async queue), piles forced placements onto one node and lets
+// Converge() rip up and re-admit older ids in the middle of the id order.
+TEST(ServiceDeterminismTest, DecisionDigestIsPinned) {
+  const core::Ensemble target = TinyThroughputEnsemble();
+  ServiceConfig config;
+  config.target = sim::Metric::kThroughput;
+  config.num_candidates = 8;
+  config.seed = 5;
+  config.num_threads = 1;
+  config.max_iterations = 4;
+  sim::Cluster cluster = FixtureCluster();
+  cluster.nodes.push_back({100.0, 8000.0, 200.0, 40.0});
+  PlacementService service(cluster, &target, nullptr, nullptr, config);
+  workload::GeneratorConfig light;
+  light.workload.event_rate_linear = {50, 100};
+  light.workload.event_rate_two_way = {20, 50};
+  light.workload.event_rate_three_way = {10, 20};
+  workload::QueryGenerator generator(light);
+  nn::Rng rng(2024);
+  auto next_query = [&] {
+    const auto t = static_cast<workload::QueryTemplate>(rng.Int(0, 2));
+    return generator.Generate(t, rng);
+  };
+
+  uint64_t digest = 14695981039346656037ull;  // FNV-1a offset basis
+  std::vector<int64_t> live;
+  auto admit = [&] {
+    const AdmitResult result = service.Admit(next_query());
+    Fold(result, &digest);
+    live.push_back(result.id);
+  };
+  auto retire_at = [&](size_t pick) {
+    ASSERT_TRUE(service.Retire(live[pick]));
+    Fold(live[pick], &digest);
+    live.erase(live.begin() + static_cast<ptrdiff_t>(pick));
+  };
+
+  // Ramp: well past several checkpoint strides.
+  for (int i = 0; i < 110; ++i) admit();
+  // Churn: the oldest, newest and a middle tenant, then random events.
+  retire_at(0);
+  retire_at(live.size() - 1);
+  retire_at(live.size() / 2);
+  for (int e = 0; e < 40; ++e) {
+    if (rng.Uniform(0.0, 1.0) < 0.5) {
+      admit();
+    } else {
+      retire_at(static_cast<size_t>(
+          rng.Int(0, static_cast<int>(live.size()) - 1)));
+    }
+  }
+  // An async batch: drained against one snapshot.
+  for (int i = 0; i < 5; ++i) live.push_back(service.AdmitAsync(next_query()));
+  for (const AdmitResult& result : service.DrainAdmissions()) {
+    Fold(result, &digest);
+  }
+  // Pile-up on the weakest node so Converge() has to rip up.
+  const dsps::QueryGraph heavy = next_query();
+  for (int i = 0; i < 6; ++i) {
+    Fold(service
+             .AdmitWithPlacement(heavy,
+                                 sim::Placement(heavy.num_operators(), 4))
+             .id,
+         &digest);
+  }
+  ASSERT_FALSE(service.ledger().OverflowedNodes().empty());
+  const ConvergeResult converge = service.Converge();
+  EXPECT_GT(converge.ripups, 0);
+  Fold(converge, &digest);
+  for (const int64_t id : service.QueryIds()) {
+    Fold(id, &digest);
+    Fold(service.PlacementOf(id), &digest);
+  }
+  const sim::BackgroundLoad& total = service.ledger().TotalLoad();
+  Fold(total.cpu_load_us, &digest);
+  Fold(total.out_bytes_per_s, &digest);
+  Fold(total.memory_mb, &digest);
+  EXPECT_EQ(service.ledger().CheckInvariants(), "");
+
+  EXPECT_EQ(digest, 5486362796040619571ull) << "decision digest moved";
 }
 
 }  // namespace
