@@ -506,8 +506,14 @@ echo "=== AddressSanitizer service churn sweep ==="
 # The churn suite drives the long-lived service through hundreds of
 # admit/retire cycles — the most allocation-heavy ownership pattern in the
 # repo (ledger entries, per-candidate workspaces, re-placements), so it runs
-# once under ASan on top of the usual Release/TSan/UBSan legs.
-ctest --test-dir build-asan -R service_churn_test --output-on-failure
+# once under ASan on top of the usual Release/TSan/UBSan legs. The
+# convergence and determinism suites ride along: their rip-ups re-admit
+# older ids mid-order, the ledger's prefix-checkpoint resume path.
+cmake --build build-asan -j "$JOBS" \
+  --target service_convergence_test service_determinism_test
+ctest --test-dir build-asan \
+  -R 'service_churn_test|service_convergence_test|service_determinism_test' \
+  --output-on-failure
 
 echo "=== AddressSanitizer fast-path sweep ==="
 # The quantized kernels hand-index packed bf16/int8 weight blocks with raw

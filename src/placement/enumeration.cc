@@ -31,31 +31,14 @@ std::vector<std::set<int>> PathNodes(const QueryGraph& query,
   return path;
 }
 
-}  // namespace
-
-std::vector<int> CapabilityBins(const Cluster& cluster, int num_bins) {
-  COSTREAM_CHECK(num_bins >= 1);
-  COSTREAM_CHECK(cluster.num_nodes() >= 1);
-  std::vector<int> order(cluster.num_nodes());
-  for (int i = 0; i < cluster.num_nodes(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return sim::CapabilityScore(cluster.nodes[a]) <
-           sim::CapabilityScore(cluster.nodes[b]);
-  });
-  std::vector<int> bins(cluster.num_nodes(), 0);
-  for (int rank = 0; rank < cluster.num_nodes(); ++rank) {
-    bins[order[rank]] =
-        std::min(num_bins - 1, rank * num_bins / cluster.num_nodes());
-  }
-  return bins;
-}
-
-std::string CheckPlacementRules(const QueryGraph& query, const Cluster& cluster,
-                                const Placement& placement, int num_bins) {
-  const std::string base = sim::ValidatePlacement(query, cluster, placement);
-  if (!base.empty()) return base;
-  const std::vector<int> bins = CapabilityBins(cluster, num_bins);
-  const std::vector<int> topo = query.TopologicalOrder();
+// Rules 2 and 3 for a placement that passed sim::ValidatePlacement, against
+// the cluster's capability bins and the query's topological order, both
+// precomputed by the caller (an enumeration checks every sampled candidate
+// against the same two).
+std::string CheckBinAndPathRules(const QueryGraph& query,
+                                 const Placement& placement,
+                                 const std::vector<int>& bins,
+                                 const std::vector<int>& topo) {
   // Rule 2: non-decreasing capability bins along the data flow.
   for (const auto& [from, to] : query.edges()) {
     if (bins[placement[to]] < bins[placement[from]]) {
@@ -75,9 +58,10 @@ std::string CheckPlacementRules(const QueryGraph& query, const Cluster& cluster,
   return "";
 }
 
-Placement SamplePlacement(const QueryGraph& query, const Cluster& cluster,
-                          const std::vector<int>& bins, nn::Rng& rng) {
-  const std::vector<int> topo = query.TopologicalOrder();
+// SamplePlacement with the query's topological order precomputed.
+Placement Sample(const QueryGraph& query, const Cluster& cluster,
+                 const std::vector<int>& bins, const std::vector<int>& topo,
+                 nn::Rng& rng) {
   Placement placement(query.num_operators(), -1);
   std::vector<std::set<int>> path(query.num_operators());
 
@@ -122,12 +106,48 @@ Placement SamplePlacement(const QueryGraph& query, const Cluster& cluster,
   return placement;
 }
 
+}  // namespace
+
+std::vector<int> CapabilityBins(const Cluster& cluster, int num_bins) {
+  COSTREAM_CHECK(num_bins >= 1);
+  COSTREAM_CHECK(cluster.num_nodes() >= 1);
+  std::vector<double> score(cluster.num_nodes());
+  std::vector<int> order(cluster.num_nodes());
+  for (int i = 0; i < cluster.num_nodes(); ++i) {
+    score[i] = sim::CapabilityScore(cluster.nodes[i]);
+    order[i] = i;
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](int a, int b) { return score[a] < score[b]; });
+  std::vector<int> bins(cluster.num_nodes(), 0);
+  for (int rank = 0; rank < cluster.num_nodes(); ++rank) {
+    bins[order[rank]] =
+        std::min(num_bins - 1, rank * num_bins / cluster.num_nodes());
+  }
+  return bins;
+}
+
+std::string CheckPlacementRules(const QueryGraph& query, const Cluster& cluster,
+                                const Placement& placement, int num_bins) {
+  const std::string base = sim::ValidatePlacement(query, cluster, placement);
+  if (!base.empty()) return base;
+  return CheckBinAndPathRules(query, placement,
+                              CapabilityBins(cluster, num_bins),
+                              query.TopologicalOrder());
+}
+
+Placement SamplePlacement(const QueryGraph& query, const Cluster& cluster,
+                          const std::vector<int>& bins, nn::Rng& rng) {
+  return Sample(query, cluster, bins, query.TopologicalOrder(), rng);
+}
+
 std::vector<Placement> EnumerateCandidates(const QueryGraph& query,
                                            const Cluster& cluster,
                                            const EnumerationConfig& config) {
   COSTREAM_CHECK(config.num_candidates >= 1);
   nn::Rng rng(config.seed);
   const std::vector<int> bins = CapabilityBins(cluster, config.num_bins);
+  const std::vector<int> topo = query.TopologicalOrder();
   std::set<Placement> seen;
   std::vector<Placement> result;
   // Oversample to compensate for duplicates in small search spaces. Work in
@@ -145,18 +165,16 @@ std::vector<Placement> EnumerateCandidates(const QueryGraph& query,
     const int n = std::min(block, attempts - done);
     sampled.clear();
     for (int i = 0; i < n; ++i) {
-      sampled.push_back(SamplePlacement(query, cluster, bins, rng));
+      sampled.push_back(Sample(query, cluster, bins, topo, rng));
     }
     conforming.assign(n, 0);
     common::ParallelFor(config.num_threads, n, [&](int i) {
       // The sampler may fall back to a rule-breaking co-location in
       // pathological join merges; enumeration only returns conforming
       // candidates.
-      conforming[i] = CheckPlacementRules(query, cluster, sampled[i],
-                                          config.num_bins)
-                          .empty()
-                          ? 1
-                          : 0;
+      conforming[i] =
+          sim::ValidatePlacement(query, cluster, sampled[i]).empty() &&
+          CheckBinAndPathRules(query, sampled[i], bins, topo).empty();
     });
     for (int i = 0;
          i < n && static_cast<int>(result.size()) < config.num_candidates;

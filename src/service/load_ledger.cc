@@ -2,12 +2,26 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
+#include <utility>
 
 #include "common/check.h"
 
 namespace costream::service {
+
+namespace {
+
+// Live entries between prefix checkpoints. A suffix re-sum walks at most
+// this many entries past the changed id's checkpoint; a checkpoint costs one
+// BackgroundLoad copy per stride of appends.
+constexpr size_t kCheckpointStride = 32;
+
+bool SameTotals(const sim::BackgroundLoad& a, const sim::BackgroundLoad& b) {
+  return a.cpu_load_us == b.cpu_load_us &&
+         a.out_bytes_per_s == b.out_bytes_per_s && a.memory_mb == b.memory_mb;
+}
+
+}  // namespace
 
 ClusterLoadLedger::ClusterLoadLedger(sim::Cluster cluster,
                                      const LedgerConfig& config)
@@ -30,15 +44,52 @@ ClusterLoadLedger::ClusterLoadLedger(sim::Cluster cluster,
   }
 }
 
-void ClusterLoadLedger::Admit(int64_t id, const sim::BackgroundLoad& load) {
+void ClusterLoadLedger::Admit(int64_t id, sim::BackgroundLoad load) {
   COSTREAM_CHECK(!Contains(id));
   COSTREAM_CHECK(static_cast<int>(load.cpu_load_us.size()) == num_nodes());
   COSTREAM_CHECK(static_cast<int>(load.out_bytes_per_s.size()) == num_nodes());
   COSTREAM_CHECK(static_cast<int>(load.memory_mb.size()) == num_nodes());
-  loads_.emplace(id, load);
+  const bool append = loads_.empty() || id > loads_.rbegin()->first;
+  const auto it = loads_.emplace_hint(loads_.end(), id, std::move(load));
+  if (!append) {
+    ResumeSum(id);
+    return;
+  }
+  // The ascending-id sum's last addition, exactly.
+  sim::AccumulateBackgroundLoad(it->second, num_nodes(), &total_);
+  if (loads_.size() % kCheckpointStride == 0) {
+    checkpoints_.push_back({id, total_});
+  }
 }
 
-bool ClusterLoadLedger::Retire(int64_t id) { return loads_.erase(id) > 0; }
+bool ClusterLoadLedger::Retire(int64_t id) {
+  if (loads_.erase(id) == 0) return false;
+  ResumeSum(id);
+  return true;
+}
+
+void ClusterLoadLedger::ResumeSum(int64_t id) {
+  // A checkpoint stays valid while every entry up to its last_id is
+  // unchanged (same ids, same positions, same loads).
+  while (!checkpoints_.empty() && checkpoints_.back().last_id >= id) {
+    checkpoints_.pop_back();
+  }
+  auto it = loads_.begin();
+  size_t count = 0;
+  if (checkpoints_.empty()) {
+    total_ = sim::BackgroundLoad();
+  } else {
+    total_ = checkpoints_.back().prefix;
+    it = loads_.upper_bound(checkpoints_.back().last_id);
+    count = checkpoints_.size() * kCheckpointStride;
+  }
+  for (; it != loads_.end(); ++it) {
+    sim::AccumulateBackgroundLoad(it->second, num_nodes(), &total_);
+    if (++count % kCheckpointStride == 0) {
+      checkpoints_.push_back({it->first, total_});
+    }
+  }
+}
 
 std::vector<int64_t> ClusterLoadLedger::QueryIds() const {
   std::vector<int64_t> ids;
@@ -53,14 +104,9 @@ const sim::BackgroundLoad& ClusterLoadLedger::LoadOf(int64_t id) const {
   return it->second;
 }
 
-sim::BackgroundLoad ClusterLoadLedger::TotalLoad() const {
-  return TotalLoadExcluding(std::numeric_limits<int64_t>::min());
-}
-
 sim::BackgroundLoad ClusterLoadLedger::TotalLoadExcluding(int64_t id) const {
   sim::BackgroundLoad total;
-  // Ascending-id summation: the total is a pure function of the live set,
-  // never of the admission/retirement history.
+  // Ascending-id summation, like the maintained total.
   for (const auto& [query_id, load] : loads_) {
     if (query_id == id) continue;
     sim::AccumulateBackgroundLoad(load, num_nodes(), &total);
@@ -69,7 +115,7 @@ sim::BackgroundLoad ClusterLoadLedger::TotalLoadExcluding(int64_t id) const {
 }
 
 sim::Cluster ClusterLoadLedger::LoadedView() const {
-  return sim::DerateCluster(cluster_, TotalLoad());
+  return sim::DerateCluster(cluster_, total_);
 }
 
 sim::Cluster ClusterLoadLedger::LoadedViewExcluding(int64_t id) const {
@@ -78,12 +124,11 @@ sim::Cluster ClusterLoadLedger::LoadedViewExcluding(int64_t id) const {
 
 double ClusterLoadLedger::NodeUtilization(int n) const {
   COSTREAM_CHECK(n >= 0 && n < num_nodes());
-  const sim::BackgroundLoad total = TotalLoad();
-  if (total.empty()) return 0.0;
+  if (total_.empty()) return 0.0;
   const sim::NodeCapacity& cap = capacity_[n];
-  const double cpu = total.cpu_load_us[n] / cap.cpu_us_per_s;
-  const double net = total.out_bytes_per_s[n] / cap.net_bytes_per_s;
-  const double ram = total.memory_mb[n] / std::max(cap.ram_mb, 1.0);
+  const double cpu = total_.cpu_load_us[n] / cap.cpu_us_per_s;
+  const double net = total_.out_bytes_per_s[n] / cap.net_bytes_per_s;
+  const double ram = total_.memory_mb[n] / std::max(cap.ram_mb, 1.0);
   return std::max({cpu, net, ram});
 }
 
@@ -127,7 +172,7 @@ double ClusterLoadLedger::NodePenalty(int n) const {
 
 double ClusterLoadLedger::PlacementPenalty(
     const sim::BackgroundLoad& extra) const {
-  return PlacementPenalty(extra, TotalLoad());
+  return PlacementPenalty(extra, total_);
 }
 
 double ClusterLoadLedger::PlacementPenalty(
@@ -186,25 +231,30 @@ std::string ClusterLoadLedger::CheckInvariants() const {
       }
     }
   }
-  // The aggregate must equal the ascending-id sum of the live loads exactly
-  // (TotalLoad is defined as that sum, so this guards the bookkeeping path,
-  // not floating-point identities).
-  const sim::BackgroundLoad total = TotalLoad();
+  // The maintained total and every prefix checkpoint must equal a
+  // from-scratch ascending-id sum of the live loads exactly: both are built
+  // from the same additions in the same order, so any difference is a
+  // bookkeeping fault, not floating-point noise.
   sim::BackgroundLoad recomputed;
+  size_t count = 0;
+  size_t k = 0;
   for (const auto& [id, load] : loads_) {
     sim::AccumulateBackgroundLoad(load, num_nodes(), &recomputed);
-  }
-  if (total.empty() != recomputed.empty()) {
-    return "total/recomputed emptiness mismatch";
-  }
-  for (int n = 0; n < num_nodes() && !total.empty(); ++n) {
-    if (total.cpu_load_us[n] != recomputed.cpu_load_us[n] ||
-        total.out_bytes_per_s[n] != recomputed.out_bytes_per_s[n] ||
-        total.memory_mb[n] != recomputed.memory_mb[n]) {
-      error << "aggregated demand diverges from the live-set sum on node "
-            << n;
+    if (++count % kCheckpointStride != 0) continue;
+    if (k >= checkpoints_.size() || checkpoints_[k].last_id != id) {
+      error << "prefix checkpoint " << k << " missing or not at query " << id;
       return error.str();
     }
+    if (!SameTotals(checkpoints_[k].prefix, recomputed)) {
+      error << "prefix checkpoint " << k
+            << " diverges from the live-set prefix sum";
+      return error.str();
+    }
+    ++k;
+  }
+  if (k != checkpoints_.size()) return "stale prefix checkpoints";
+  if (!SameTotals(total_, recomputed)) {
+    return "maintained total diverges from the live-set sum";
   }
   return "";
 }

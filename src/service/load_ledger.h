@@ -33,10 +33,17 @@ struct LedgerConfig {
 // and overflow counts with escalating penalties) that the placement service
 // uses to reprice contended nodes across rip-up iterations.
 //
-// Determinism: totals are recomputed by summing the per-query loads in
-// ascending id order, so they are a pure function of the live set — admitting
-// and then retiring a query restores the previous totals bitwise, and the
-// result never depends on the order in which queries arrived or departed.
+// Determinism: the total is defined as the left-to-right sum of the per-query
+// loads in ascending id order, so it is a pure function of the live set —
+// admitting and then retiring a query restores the previous total bitwise,
+// and the result never depends on the order in which queries arrived or
+// departed. The ledger maintains that sum eagerly on every Admit/Retire
+// instead of re-summing on each read: an admission with an id above every
+// live id performs exactly the sum's last addition, and any other change
+// resumes from the last prefix checkpoint ahead of the changed id and re-sums
+// only the suffix. Reads (TotalLoad, LoadedView, NodeUtilization,
+// PlacementPenalty) touch no mutable state, so concurrent const calls are
+// race-free.
 class ClusterLoadLedger {
  public:
   explicit ClusterLoadLedger(sim::Cluster cluster,
@@ -49,9 +56,12 @@ class ClusterLoadLedger {
   // --- Live-set bookkeeping -------------------------------------------------
 
   // Registers `load` under `id`. `id` must not be live; loads must be sized
-  // to the cluster.
-  void Admit(int64_t id, const sim::BackgroundLoad& load);
-  // Removes `id` from the live set. Returns false when `id` was not live.
+  // to the cluster. O(nodes) when `id` is above every live id (every fresh
+  // admission: ids only grow), else a suffix re-sum from the last prefix
+  // checkpoint ahead of `id`.
+  void Admit(int64_t id, sim::BackgroundLoad load);
+  // Removes `id` from the live set (suffix re-sum as above). Returns false
+  // when `id` was not live.
   bool Retire(int64_t id);
   bool Contains(int64_t id) const { return loads_.count(id) > 0; }
   int live_queries() const { return static_cast<int>(loads_.size()); }
@@ -63,8 +73,9 @@ class ClusterLoadLedger {
   // --- Aggregated demand ----------------------------------------------------
 
   // Sum of all live loads (empty BackgroundLoad when no query is live).
-  sim::BackgroundLoad TotalLoad() const;
-  // Sum of all live loads except `id` (which may or may not be live).
+  const sim::BackgroundLoad& TotalLoad() const { return total_; }
+  // Sum of all live loads except `id` (which may or may not be live),
+  // recomputed from scratch.
   sim::BackgroundLoad TotalLoadExcluding(int64_t id) const;
 
   // The cluster as a *new* query sees it: capacities derated by the total
@@ -111,16 +122,28 @@ class ClusterLoadLedger {
   // --- Self-check (tests, costream_serve --check) ---------------------------
 
   // Verifies the ledger's internal invariants: every stored load is sized to
-  // the cluster and non-negative, and the aggregated totals equal the sum of
-  // the live per-query loads exactly. Returns "" when consistent.
+  // the cluster and non-negative, and the maintained total and every prefix
+  // checkpoint equal a from-scratch ascending-id sum of the live per-query
+  // loads exactly. Returns "" when consistent.
   std::string CheckInvariants() const;
 
  private:
   static constexpr int kOverflowTableSize = 64;
 
+  // The running ascending-id sum after the live entry `last_id`, which is
+  // the ((k + 1) * stride)-th live entry for the k-th checkpoint.
+  struct Checkpoint {
+    int64_t last_id = 0;
+    sim::BackgroundLoad prefix;
+  };
+
   // Overflow magnitude of a utilization value, in margin-quarters over
   // capacity (0 when within the margin), clamped to the table.
   int OverflowMagnitude(double util) const;
+  // Re-derives total_ after the entry `id` was inserted or erased: drops the
+  // checkpoints whose prefix covers `id`, resumes from the last one left and
+  // re-sums the suffix, re-creating checkpoints along the way.
+  void ResumeSum(int64_t id);
 
   sim::Cluster cluster_;
   LedgerConfig config_;
@@ -128,6 +151,10 @@ class ClusterLoadLedger {
   // Live loads keyed by query id; std::map keeps iteration (and therefore
   // summation) in ascending-id order.
   std::map<int64_t, sim::BackgroundLoad> loads_;
+  // The ascending-id sum of loads_, kept current by Admit/Retire.
+  sim::BackgroundLoad total_;
+  // Prefix sums every stride live entries, ascending.
+  std::vector<Checkpoint> checkpoints_;
   std::vector<int> he_;  // history: iterations a node has spent overflowed
   std::vector<int> of_;  // current overflow magnitude (margin-fractions over)
   // Precomputed escalating overflow penalties: table[k] = growth^k, clamped

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -74,14 +75,18 @@ PlacementService::PlacementService(sim::Cluster cluster,
 PlacementService::~PlacementService() = default;
 
 double PlacementService::CandidatePenaltyFactor(
-    const dsps::QueryGraph& query, const sim::Placement& placement,
-    const sim::BackgroundLoad& total) const {
+    const sim::BackgroundLoad& load, const sim::BackgroundLoad& total) const {
   // Present congestion: the candidate is priced with its own steady-state
   // demand added to the current ledger totals, so overflow a candidate
   // *would* cause costs immediately — not only after the next repricing.
-  const double price = ledger_.PlacementPenalty(
-      sim::ComputeBackgroundLoad(query, ledger_.cluster(), placement), total);
+  const double price = ledger_.PlacementPenalty(load, total);
   return 1.0 + config_.penalty_weight * (price - 1.0);
+}
+
+sim::BackgroundLoad PlacementService::TakeLoad(const dsps::QueryGraph& query,
+                                               Choice& choice) const {
+  if (!choice.load.empty()) return std::move(choice.load);
+  return sim::ComputeBackgroundLoad(query, ledger_.cluster(), choice.placement);
 }
 
 PlacementService::Choice PlacementService::PlaceOne(
@@ -163,13 +168,17 @@ PlacementService::Choice PlacementService::SelectCandidates(
 
   // Congestion factors first: the engine's top-k pre-selection ranks under
   // the same penalized objective the final selection uses. Skipped
-  // candidates need no factor either (they cannot win).
+  // candidates need no factor either (they cannot win). The winner's load is
+  // kept for the ledger.
   std::vector<double> factors(m);
-  const sim::BackgroundLoad total = ledger_.TotalLoad();
+  std::vector<sim::BackgroundLoad> loads(m);
+  const sim::BackgroundLoad& total = ledger_.TotalLoad();
   const int threads =
       std::max(1, std::min(common::ResolveNumThreads(config_.num_threads), m));
   common::ParallelForIndexed(threads, m, [&](int /*worker*/, int j) {
-    factors[j] = CandidatePenaltyFactor(query, candidates[to_score[j]], total);
+    loads[j] = sim::ComputeBackgroundLoad(query, ledger_.cluster(),
+                                          candidates[to_score[j]]);
+    factors[j] = CandidatePenaltyFactor(loads[j], total);
   });
 
   // Batched scoring against the load-adjusted view, exactly like the one-shot
@@ -243,13 +252,14 @@ PlacementService::Choice PlacementService::SelectCandidates(
   choice.predicted = scored[chosen].cost;
   choice.penalized = penalized[chosen];
   choice.feasible = tier == 0 || tier == 2;
+  choice.load = std::move(loads[chosen]);
   return choice;
 }
 
 PlacementService::Choice PlacementService::PlaceGreedyFirstFit(
     const dsps::QueryGraph& query) const {
   const sim::Cluster& cluster = ledger_.cluster();
-  const sim::BackgroundLoad total = ledger_.TotalLoad();
+  const sim::BackgroundLoad& total = ledger_.TotalLoad();
   const double margin = config_.ledger.capacity_margin;
 
   Choice choice;
@@ -290,12 +300,11 @@ PlacementService::Choice PlacementService::PlaceGreedyFirstFit(
 }
 
 AdmitResult PlacementService::Record(int64_t id, const dsps::QueryGraph& query,
-                                     const Choice& choice) {
+                                     Choice choice) {
   static obs::Counter& metric_admissions =
       obs::GetCounter("service.admissions");
   static obs::Gauge& metric_live = obs::GetGauge("service.live_queries");
-  ledger_.Admit(id, sim::ComputeBackgroundLoad(query, ledger_.cluster(),
-                                               choice.placement));
+  ledger_.Admit(id, TakeLoad(query, choice));
   entries_.emplace(id, Entry{query, choice.placement});
   metric_admissions.Increment();
   metric_live.Set(static_cast<double>(ledger_.live_queries()));
@@ -315,9 +324,8 @@ AdmitResult PlacementService::Admit(const dsps::QueryGraph& query) {
   obs::ScopedTimer timer(metric_admit_us);
   const int64_t id = next_id_++;
   const sim::Cluster view = ledger_.LoadedView();
-  const Choice choice =
-      PlaceOne(query, view, DeriveSeed(config_.seed, id, 0));
-  return Record(id, query, choice);
+  return Record(id, query,
+                PlaceOne(query, view, DeriveSeed(config_.seed, id, 0)));
 }
 
 int64_t PlacementService::AdmitAsync(const dsps::QueryGraph& query) {
@@ -379,10 +387,10 @@ std::vector<AdmitResult> PlacementService::DrainAdmissions() {
   for (size_t r = 0; r < pending_.size(); ++r) {
     const std::vector<char> demoted =
         ProvenCrashMask(pending_[r].second, candidates[r]);
-    const Choice choice =
+    results.push_back(Record(
+        pending_[r].first, pending_[r].second,
         SelectCandidates(pending_[r].second, snapshot, candidates[r],
-                         ranked.empty() ? nullptr : &ranked[r], &demoted);
-    results.push_back(Record(pending_[r].first, pending_[r].second, choice));
+                         ranked.empty() ? nullptr : &ranked[r], &demoted)));
   }
   pending_.clear();
   return results;
@@ -449,12 +457,11 @@ ConvergeResult PlacementService::Converge() {
       Entry& entry = entries_.at(id);
       ledger_.Retire(id);
       const sim::Cluster view = ledger_.LoadedView();
-      const Choice choice = PlaceOne(
+      Choice choice = PlaceOne(
           entry.query, view,
           DeriveSeed(config_.seed, static_cast<uint64_t>(id), iter + 1));
       entry.placement = choice.placement;
-      ledger_.Admit(id, sim::ComputeBackgroundLoad(
-                            entry.query, ledger_.cluster(), entry.placement));
+      ledger_.Admit(id, TakeLoad(entry.query, choice));
       ++result.ripups;
     }
   }

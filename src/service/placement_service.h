@@ -196,6 +196,9 @@ class PlacementService {
     double penalized = 0.0;
     bool feasible = false;
     int candidates_evaluated = 0;
+    // The placement's steady-state demand on the bare cluster, when the
+    // selection already computed it (empty otherwise).
+    sim::BackgroundLoad load;
   };
 
   // One learned (or greedy) placement decision for `query` against `view`.
@@ -221,13 +224,15 @@ class PlacementService {
                           const std::vector<char>* demoted) const;
   Choice PlaceGreedyFirstFit(const dsps::QueryGraph& query) const;
   // Congestion multiplier of a candidate: the ledger's present-congestion
-  // price of adding the candidate's steady-state demand, scaled by
+  // price of adding the candidate's steady-state demand `load`, scaled by
   // config.penalty_weight.
-  double CandidatePenaltyFactor(const dsps::QueryGraph& query,
-                                const sim::Placement& placement,
+  double CandidatePenaltyFactor(const sim::BackgroundLoad& load,
                                 const sim::BackgroundLoad& total) const;
-  AdmitResult Record(int64_t id, const dsps::QueryGraph& query,
-                     const Choice& choice);
+  // Moves the chosen placement's steady-state demand out of `choice`,
+  // computing it when the selection did not.
+  sim::BackgroundLoad TakeLoad(const dsps::QueryGraph& query,
+                               Choice& choice) const;
+  AdmitResult Record(int64_t id, const dsps::QueryGraph& query, Choice choice);
 
   const core::Ensemble* target_;
   const core::Ensemble* success_;

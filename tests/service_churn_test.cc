@@ -2,7 +2,13 @@
 // service: the ClusterLoadLedger's invariants must hold after every event —
 // the aggregated demand equals the sum of the live placements' loads, a
 // retired query exactly restores the pre-admission ledger state, and no node
-// is left overflowed at convergence.
+// is left overflowed at convergence. A bare-ledger reference test drives the
+// maintained total through appends, mid-order retirements and re-admissions
+// across several prefix-checkpoint strides against a from-scratch sum.
+#include <cmath>
+#include <iterator>
+#include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -206,6 +212,137 @@ TEST(LoadLedgerTest, UtilizationAndOverflowTrackDemand) {
   EXPECT_GT(ledger.NodePenalty(0), 1.0);  // history persists across iterations
   ledger.ResetCongestion();
   EXPECT_EQ(ledger.NodePenalty(0), 1.0);
+}
+
+// The ledger's prefix-checkpoint stride (kCheckpointStride in
+// load_ledger.cc). The reference test also sweeps every live count from
+// above 4 * kStride down to 0, so it covers the stride boundaries even if
+// the constant changes.
+constexpr int kStride = 32;
+
+// Non-negative loads spanning several orders of magnitude, so the order of
+// the additions shows in the low bits of the sums.
+sim::BackgroundLoad RandomLoad(int nodes, nn::Rng& rng) {
+  sim::BackgroundLoad load;
+  for (int n = 0; n < nodes; ++n) {
+    const double scale = std::pow(10.0, rng.Int(-3, 6));
+    load.cpu_load_us.push_back(rng.Uniform(0.0, 1.0) * scale);
+    load.out_bytes_per_s.push_back(rng.Uniform(0.0, 1.0) * scale);
+    load.memory_mb.push_back(n == 0 ? 0.0 : rng.Uniform(0.0, 1.0) * scale);
+  }
+  return load;
+}
+
+// Drives a bare ledger alongside a test-local id -> load map and checks the
+// maintained total against the map's ascending-id sum after every event.
+class LedgerReference {
+ public:
+  explicit LedgerReference(const sim::Cluster& cluster) : ledger_(cluster) {}
+
+  void Admit(int64_t id, nn::Rng& rng) {
+    const sim::BackgroundLoad load = RandomLoad(ledger_.num_nodes(), rng);
+    ledger_.Admit(id, load);
+    live_[id] = load;
+    Check("admit " + std::to_string(id));
+  }
+  void Retire(int64_t id) {
+    ASSERT_TRUE(ledger_.Retire(id));
+    live_.erase(id);
+    Check("retire " + std::to_string(id));
+  }
+  // The id at rank `k` of the live set, ascending.
+  int64_t IdAt(size_t k) const { return std::next(live_.begin(), k)->first; }
+  int live() const { return static_cast<int>(live_.size()); }
+  const ClusterLoadLedger& ledger() const { return ledger_; }
+
+ private:
+  void Check(const std::string& event) {
+    sim::BackgroundLoad expected;
+    for (const auto& [id, load] : live_) {
+      sim::AccumulateBackgroundLoad(load, ledger_.num_nodes(), &expected);
+    }
+    const sim::BackgroundLoad& total = ledger_.TotalLoad();
+    ASSERT_EQ(ledger_.live_queries(), live());
+    ASSERT_EQ(total.empty(), expected.empty()) << event;
+    for (size_t n = 0; n < expected.cpu_load_us.size(); ++n) {
+      EXPECT_EQ(total.cpu_load_us[n], expected.cpu_load_us[n]) << event;
+      EXPECT_EQ(total.out_bytes_per_s[n], expected.out_bytes_per_s[n])
+          << event;
+      EXPECT_EQ(total.memory_mb[n], expected.memory_mb[n]) << event;
+    }
+    ASSERT_EQ(ledger_.CheckInvariants(), "") << event;
+  }
+
+  ClusterLoadLedger ledger_;
+  std::map<int64_t, sim::BackgroundLoad> live_;
+};
+
+TEST(LoadLedgerTest, MaintainedTotalMatchesAscendingIdSum) {
+  const sim::Cluster cluster = RoomyCluster();
+  LedgerReference ref(cluster);
+  nn::Rng rng(4242);
+
+  // Appends past four checkpoint strides.
+  int64_t next_id = 0;
+  while (ref.live() < 4 * kStride + 9) ref.Admit(next_id++, rng);
+
+  // Retire the oldest, the newest and a middle tenant.
+  ref.Retire(ref.IdAt(0));
+  ref.Retire(ref.IdAt(ref.live() - 1));
+  ref.Retire(ref.IdAt(ref.live() / 2));
+
+  // The rip-up pattern: retire a tenant, re-admit the same (older) id with a
+  // new load — including ids right at checkpoint boundaries.
+  for (const size_t k : {size_t{0}, size_t{kStride - 1}, size_t{kStride},
+                         size_t{2 * kStride + 1}}) {
+    const int64_t id = ref.IdAt(k);
+    ref.Retire(id);
+    ref.Admit(id, rng);
+  }
+  for (int i = 0; i < 30; ++i) {
+    const int64_t id =
+        ref.IdAt(static_cast<size_t>(rng.Int(0, ref.live() - 1)));
+    ref.Retire(id);
+    ref.Admit(id, rng);
+  }
+
+  // Mixed churn: fresh appends and random retirements.
+  for (int e = 0; e < 80; ++e) {
+    if (rng.Uniform(0.0, 1.0) < 0.5) {
+      ref.Admit(next_id++, rng);
+    } else {
+      ref.Retire(ref.IdAt(static_cast<size_t>(rng.Int(0, ref.live() - 1))));
+    }
+  }
+  ASSERT_GT(ref.live(), kStride + 1);
+
+  // Live counts of K + 1, K and K - 1, then back up across the boundary by
+  // re-admitting older ids below the newest one.
+  std::vector<int64_t> retired;
+  while (ref.live() > kStride - 1) {
+    retired.push_back(ref.IdAt(static_cast<size_t>(ref.live() / 3)));
+    ref.Retire(retired.back());
+  }
+  for (int i = 0; i < 3; ++i) {
+    ref.Admit(retired.back(), rng);
+    retired.pop_back();
+  }
+  ASSERT_EQ(ref.live(), kStride + 2);
+
+  // Retire everyone: the total is empty again and the loaded view is the
+  // bare cluster.
+  while (ref.live() > 0) {
+    ref.Retire(ref.IdAt(static_cast<size_t>(rng.Int(0, ref.live() - 1))));
+  }
+  EXPECT_TRUE(ref.ledger().TotalLoad().empty());
+  const sim::Cluster view = ref.ledger().LoadedView();
+  ASSERT_EQ(view.num_nodes(), cluster.num_nodes());
+  for (int n = 0; n < cluster.num_nodes(); ++n) {
+    EXPECT_EQ(view.nodes[n].cpu_pct, cluster.nodes[n].cpu_pct);
+    EXPECT_EQ(view.nodes[n].ram_mb, cluster.nodes[n].ram_mb);
+    EXPECT_EQ(view.nodes[n].bandwidth_mbits, cluster.nodes[n].bandwidth_mbits);
+    EXPECT_EQ(view.nodes[n].latency_ms, cluster.nodes[n].latency_ms);
+  }
 }
 
 }  // namespace
